@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -401,8 +402,21 @@ def _cmd_oracle(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads tokens such as ``-2,1`` as positionals, not as unknown flags.
+
+    No revdcj flag starts with a digit, so any ``-<digit>`` token is a
+    negative-leading permutation (argparse itself only exempts plain
+    negative numbers).  Subcommand parsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revdcj",
         description="Reversal and DCJ genome rearrangement distances.",
     )

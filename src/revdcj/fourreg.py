@@ -31,6 +31,11 @@ _ROUTE_PAIRS = {
     2: ((0, 2), (1, 3)),
     3: ((0, 3), (1, 2)),
 }
+# _ROUTE_MATE[r][s]: the slot that route r pairs with slot s
+_ROUTE_MATE = {
+    r: tuple(b if s == a else a for s in range(4) for a, b in pairs if s in (a, b))
+    for r, pairs in _ROUTE_PAIRS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,6 @@ class CircuitPartition:
         return _ROUTE_PAIRS[self.routes[v]]
 
 
-def route_code(pair_with_zero: int) -> int:
-    if pair_with_zero not in (1, 2, 3):
-        raise ValueError("slot 0 pairs with 1, 2, or 3")
-    return pair_with_zero
-
-
 def _route_from_visit_pairs(pairs: list[tuple[int, int]]) -> int:
     # pairs: two (slot offset, slot offset) pairs covering {0,1,2,3}
     for a, b in pairs:
@@ -159,12 +158,12 @@ def _canonical_cycle(ids) -> tuple[int, ...]:
 
 def _slot_walk(g: FourRegularGraph, p: CircuitPartition):
     """Yield each circuit once, as the list of (arrive_slot, depart_slot) steps."""
+    if len(p.routes) != g.n_vertices:
+        raise ValueError("partition does not match graph")
     partner = g.slot_partner()
-    route_partner = [0] * g.n_slots
-    for v in range(g.n_vertices):
-        for a, b in p.pairs_at(v):
-            route_partner[4 * v + a] = 4 * v + b
-            route_partner[4 * v + b] = 4 * v + a
+    route_partner = [
+        s - s % 4 + _ROUTE_MATE[p.routes[s // 4]][s % 4] for s in range(g.n_slots)
+    ]
     visited = [False] * g.n_slots
     for start in range(g.n_slots):
         if visited[start]:
@@ -182,8 +181,6 @@ def _slot_walk(g: FourRegularGraph, p: CircuitPartition):
 
 def circuits(g: FourRegularGraph, p: CircuitPartition) -> tuple[Circuit, ...]:
     """Decompose the edges into circuits by alternating edges with routes."""
-    if len(p.routes) != g.n_vertices:
-        raise ValueError("partition does not match graph")
     owner = g.edge_of_slot()
     result = [
         Circuit(tuple(owner[dep] for _, dep in steps)) for steps in _slot_walk(g, p)
@@ -193,7 +190,7 @@ def circuits(g: FourRegularGraph, p: CircuitPartition) -> tuple[Circuit, ...]:
 
 def is_euler_system(g: FourRegularGraph, p: CircuitPartition) -> bool:
     """True iff the partition has exactly one circuit per connected component."""
-    return len(circuits(g, p)) == g.n_components()
+    return sum(1 for _ in _slot_walk(g, p)) == g.n_components()
 
 
 def supplementary(p1: CircuitPartition, p2: CircuitPartition) -> bool:
@@ -243,11 +240,11 @@ class PermEncoding:
 def target_circuit_count(g: FourRegularGraph, pb: CircuitPartition) -> int:
     """The number of pb circuits made of intermediate segments only."""
     kinds = g.edge_kinds
-    total = 0
-    for c in circuits(g, pb):
-        if all(kinds[i] == INTERMEDIATE for i in c.edge_ids):
-            total += 1
-    return total
+    owner = g.edge_of_slot()
+    return sum(
+        all(kinds[owner[dep]] == INTERMEDIATE for _, dep in steps)
+        for steps in _slot_walk(g, pb)
+    )
 
 
 def encode_permutation(p: SignedPermutation) -> PermEncoding:
@@ -265,50 +262,34 @@ def encode_permutation(p: SignedPermutation) -> PermEncoding:
     m = 2 * (n + 1)
     values = p.values
 
-    edge_labels = []
-    edge_kinds = []
-    for t in range(m):
-        if t == 0:
-            edge_labels.append("$")
-            edge_kinds.append(ANCHOR)
-        elif t % 2 == 1:
-            edge_labels.append("I%d" % ((t + 1) // 2))
-            edge_kinds.append(INTERMEDIATE)
-        else:
-            edge_labels.append(str(abs(values[t // 2 - 1])))
-            edge_kinds.append(REAL)
-
-    junction = []
-    for t in range(m):
-        if t == 0:
-            junction.append(0)
-        elif t == m - 1:
-            junction.append(n)
-        elif t % 2 == 1:
-            k = values[(t + 1) // 2 - 1]  # tail side of the next real segment
-            junction.append(k - 1 if k > 0 else -k)
-        else:
-            k = values[t // 2 - 1]  # head side of this real segment
-            junction.append(k if k > 0 else -k - 1)
+    edge_labels = ["$"]
+    edge_kinds = [ANCHOR]
+    junction = [0]
+    for i, k in enumerate(values, start=1):
+        edge_labels += ("I%d" % i, str(abs(k)))
+        edge_kinds += (INTERMEDIATE, REAL)
+        # tail side of real segment i, then its head side
+        junction += (k - 1, k) if k > 0 else (-k, -k - 1)
+    edge_labels.append("I%d" % (n + 1))
+    edge_kinds.append(INTERMEDIATE)
+    junction.append(n)
 
     # first and second junction position of each vertex label
-    occ: dict[int, list[int]] = {}
+    first = [-1] * (n + 1)
+    second = [-1] * (n + 1)
     for t, lab in enumerate(junction):
-        occ.setdefault(lab, []).append(t)
+        if first[lab] < 0:
+            first[lab] = t
+        else:
+            second[lab] = t
 
-    def slot(t: int, outgoing: bool) -> int:
-        lab = junction[t]
-        second = occ[lab][1] == t
-        return 4 * lab + 2 * second + outgoing
-
-    edges = []
-    for t in range(m):
-        # segment t runs from the junction before it to the junction after it
-        edges.append((slot((t - 1) % m, True), slot(t, False)))
+    # incoming slot at each junction; the outgoing one is next to it
+    base = [4 * lab + 2 * (second[lab] == t) for t, lab in enumerate(junction)]
+    # segment t runs from the junction before it to the junction after it
+    edges = [(base[t - 1] + 1, base[t]) for t in range(m)]
 
     pb_routes = []
-    for v in range(n + 1):
-        ta, tb = occ[v]
+    for ta, tb in zip(first, second):
         real_a = 0 if ta % 2 == 0 else 1  # incoming edge is real at even junctions
         real_b = 2 if tb % 2 == 0 else 3
         if real_a == 0:

@@ -6,19 +6,28 @@ route to the supplementary partition's yields another Euler system.  Rank
 and nullity of the adjacency matrix over GF(2) drive the distance bounds,
 so the matrix type keeps rows as int bitmasks and does Gaussian
 elimination directly on them.
+
+``circle_graph`` reads both from one walk of each circuit.  Interleaved
+vertices are those seen an odd number of times between a vertex's two
+visits, so a prefix XOR of visit bits gives every adjacency row.  Whether
+a vertex is looped depends only on the routes there: of the two routes
+other than the walk's own, the one pairing the two arrival slots keeps a
+single circuit and the other splits it in two.  The walk is O(L) steps for
+L edges, and the rows cost O(L) XORs of n-bit integers, about n*L/64 word
+operations, instead of one full circuit decomposition per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .fourreg import (
+from .fourreg import (  # noqa: F401  circuits stays importable from this module
     CircuitPartition,
     FourRegularGraph,
     circuits,
-    is_euler_system,
     supplementary,
-    switch_route,
+    _ROUTE_MATE,
     _slot_walk,
 )
 
@@ -33,25 +42,35 @@ class LoopedGraph:
     def __post_init__(self):
         if tuple(sorted(set(self.vertices))) != self.vertices:
             raise ValueError("vertices must be sorted and distinct")
-        vs = set(self.vertices)
+        if not set(map(len, self.edges)) <= {1, 2}:
+            raise ValueError("edges join one or two vertices")
+        vs = frozenset(self.vertices)
+        if not vs.issuperset(frozenset().union(*self.edges)):
+            bad = next(e for e in self.edges if not e <= vs)
+            raise ValueError("edge %r leaves the vertex set" % (set(bad),))
+
+    @cached_property
+    def _lookup(self) -> tuple[dict[int, frozenset[int]], frozenset[int]]:
+        # neighbor sets and looped vertices, built once per graph
+        hood: dict[int, set[int]] = {v: set() for v in self.vertices}
+        loops = set()
         for e in self.edges:
-            if len(e) not in (1, 2):
-                raise ValueError("edges join one or two vertices")
-            if not e <= vs:
-                raise ValueError("edge %r leaves the vertex set" % (set(e),))
+            if len(e) == 1:
+                loops.update(e)
+            else:
+                a, b = e
+                hood[a].add(b)
+                hood[b].add(a)
+        return {v: frozenset(s) for v, s in hood.items()}, frozenset(loops)
 
     def has_loop(self, v: int) -> bool:
-        return frozenset({v}) in self.edges
+        return v in self._lookup[1]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        out = set()
-        for e in self.edges:
-            if v in e and len(e) == 2:
-                out.update(e - {v})
-        return frozenset(out)
+        return self._lookup[0].get(v, frozenset())
 
     def looped_vertices(self) -> frozenset[int]:
-        return frozenset(v for v in self.vertices if self.has_loop(v))
+        return self._lookup[1]
 
     def has_any_edge(self) -> bool:
         return bool(self.edges)
@@ -157,11 +176,6 @@ def matrix_pretty(m: Gf2Matrix, labels=None) -> str:
     return "\n".join(lines)
 
 
-def _interleaved(occ_u: tuple[int, int], occ_w: tuple[int, int]) -> bool:
-    inside = sum(1 for t in occ_w if occ_u[0] < t < occ_u[1])
-    return inside == 1
-
-
 def circle_graph(
     g: FourRegularGraph, p1: CircuitPartition, p2: CircuitPartition
 ) -> LoopedGraph:
@@ -170,30 +184,47 @@ def circle_graph(
     Vertices u, w are adjacent when their visits interleave along p1's
     circuit through them (u w u w cyclically); u is looped when switching
     its route to p2's leaves an Euler system.
+
+    One walk of each p1 circuit decides both.  With prefix[t] the XOR of
+    1 << v over the first t visits, u's row is prefix[b] ^ prefix[a + 1]
+    for its visits a < b: exactly the vertices seen once in between.  u is
+    looped iff p2's route at u pairs the slots the walk arrives through on
+    its two visits, the one switch that keeps u's circuit whole.  p1 is an
+    Euler system iff every circuit visits each of its vertices twice.
+    Cost: O(L) steps and XORs of n-bit rows for L edges and n vertices.
     """
     if not supplementary(p1, p2):
         raise ValueError("partitions are not supplementary")
-    if not is_euler_system(g, p1):
-        raise ValueError("p1 is not an Euler system")
-
-    edges: set[frozenset[int]] = set()
+    rows = [0] * g.n_vertices
+    looped = []
     for steps in _slot_walk(g, p1):
-        word = [dep // 4 for _, dep in steps]
-        occ: dict[int, list[int]] = {}
-        for t, v in enumerate(word):
-            occ.setdefault(v, []).append(t)
-        verts = sorted(occ)
-        for i, u in enumerate(verts):
-            for w in verts[i + 1 :]:
-                if _interleaved(tuple(occ[u]), tuple(occ[w])):
-                    edges.add(frozenset({u, w}))
+        # vertex -> (arrival slot, prefix just after) of its first visit
+        first: dict[int, tuple[int, int]] = {}
+        prefix = 0
+        for arrive, _ in steps:
+            v = arrive // 4
+            if v in first:
+                arrive_a, prefix_a = first.pop(v)
+                rows[v] = prefix ^ prefix_a
+                if _ROUTE_MATE[p2.routes[v]][arrive_a % 4] == arrive % 4:
+                    looped.append(v)
+            else:
+                first[v] = (arrive, prefix ^ (1 << v))
+            prefix ^= 1 << v
+        if first:
+            # a vertex left for another circuit of its component
+            raise ValueError("p1 is not an Euler system")
 
-    n_components = g.n_components()
-    for v in range(g.n_vertices):
-        switched = switch_route(p1, v, p2)
-        if len(circuits(g, switched)) == n_components:
-            edges.add(frozenset({v}))
-
+    edges = {frozenset({v}) for v in looped}
+    for u, row in enumerate(rows):
+        row >>= u + 1
+        w = u + 1
+        while row:
+            skip = (row & -row).bit_length() - 1
+            w += skip
+            edges.add(frozenset({u, w}))
+            row >>= skip + 1
+            w += 1
     return LoopedGraph(tuple(range(g.n_vertices)), frozenset(edges))
 
 

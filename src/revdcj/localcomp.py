@@ -107,7 +107,7 @@ class NeighborhoodSplit:
 
 def split_neighborhood(h: LoopedGraph, v: int) -> NeighborhoodSplit:
     hood = h.neighbors(v)
-    looped = frozenset(u for u in hood if h.has_loop(u))
+    looped = hood & h.looped_vertices()
     return NeighborhoodSplit(looped, hood - looped)
 
 
@@ -117,12 +117,13 @@ def vertex_score(h: LoopedGraph, v: int) -> int:
 
 def ms_set(h: LoopedGraph) -> frozenset[int]:
     """Looped vertices whose looped neighbors all score no higher."""
-    out = set()
-    for v in h.looped_vertices():
-        sv = vertex_score(h, v)
-        if all(vertex_score(h, w) <= sv for w in split_neighborhood(h, v).looped):
-            out.add(v)
-    return frozenset(out)
+    looped = h.looped_vertices()
+    score = {v: vertex_score(h, v) for v in looped}
+    return frozenset(
+        v
+        for v in looped
+        if all(score[w] <= score[v] for w in h.neighbors(v) & looped)
+    )
 
 
 def has_full_lc_sequence(h: LoopedGraph) -> bool:

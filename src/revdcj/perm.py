@@ -8,7 +8,6 @@ circular chromosomes over string marker names, each name used once.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -45,8 +44,8 @@ class SignedPermutation:
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
-    def to_json(self) -> str:
-        return json.dumps({"values": list(self.values)})
+    def to_json(self) -> dict:
+        return {"values": list(self.values)}
 
 
 def identity(n: int) -> SignedPermutation:
@@ -101,8 +100,7 @@ def parse_permutation(text: str) -> SignedPermutation:
     return SignedPermutation(tuple(values))
 
 
-def permutation_from_json(text: str) -> SignedPermutation:
-    data = json.loads(text)
+def permutation_from_json(data: dict) -> SignedPermutation:
     return SignedPermutation(tuple(data["values"]))
 
 
@@ -202,18 +200,16 @@ class Genome:
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.chromosomes)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "chromosomes": [
-                    {
-                        "shape": c.shape,
-                        "markers": [("-" + n if s < 0 else n) for n, s in c.markers],
-                    }
-                    for c in self.chromosomes
-                ]
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "chromosomes": [
+                {
+                    "shape": c.shape,
+                    "markers": [("-" + n if s < 0 else n) for n, s in c.markers],
+                }
+                for c in self.chromosomes
+            ]
+        }
 
 
 def _parse_marker(tok: str) -> Marker:
@@ -249,8 +245,7 @@ def parse_genome(text: str) -> Genome:
     return Genome(tuple(chromosomes))
 
 
-def genome_from_json(text: str) -> Genome:
-    data = json.loads(text)
+def genome_from_json(data: dict) -> Genome:
     chromosomes = []
     for entry in data["chromosomes"]:
         markers = tuple(_parse_marker(tok) for tok in entry["markers"])

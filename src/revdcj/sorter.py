@@ -40,25 +40,23 @@ def permutation_circle_graph(p: SignedPermutation):
     return circle_graph(enc.graph, enc.pa, enc.pb)
 
 
-def reversal_for_vertex(p: SignedPermutation, v: int) -> ReversalInterval:
+def reversal_for_vertex(p: SignedPermutation, v: int, enc=None) -> ReversalInterval:
     """The reversal that brings the segment ends at vertex v together.
 
     v must name an oriented vertex, i.e. one carrying a loop in the circle
-    graph; its two junctions then sit at least two traversal steps apart
-    and the enclosed positions form the interval to reverse.
+    graph; that holds exactly when its two junction positions have the
+    same parity, so they sit at least two traversal steps apart and the
+    enclosed positions form the interval to reverse.  enc, when given, is
+    encode_permutation(p), saving the caller a second encoding.
     """
-    enc = encode_permutation(p)
+    if enc is None:
+        enc = encode_permutation(p)
     if not 0 <= v <= enc.n:
         raise ValueError("unknown vertex %r" % (v,))
-    h = circle_graph(enc.graph, enc.pa, enc.pb)
-    if not h.has_loop(v):
-        raise ValueError("vertex %r is not oriented" % (v,))
     ta, tb = enc.breakpoint_positions(v)
-    start = ta // 2 + 1
-    end = tb // 2
-    if start > end:
-        raise AssertionError("oriented vertex with an empty interval")
-    return ReversalInterval(start, end)
+    if (tb - ta) % 2:
+        raise ValueError("vertex %r is not oriented" % (v,))
+    return ReversalInterval(ta // 2 + 1, tb // 2)
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,18 @@ def sort_by_reversals(p: SignedPermutation) -> ReversalScript | None:
     insists it equals the stripped previous graph; a mismatch means the
     step law broke, so it raises rather than returning a bad script.
     """
-    h = permutation_circle_graph(p)
+    enc = encode_permutation(p)
+    h = circle_graph(enc.graph, enc.pa, enc.pb)
     if not has_full_lc_sequence(h):
         return None
     steps = []
     cur = p
     while h.has_any_edge():
         v = min(ms_set(h))
-        interval = reversal_for_vertex(cur, v)
+        interval = reversal_for_vertex(cur, v, enc)
         nxt = apply_reversal(cur, interval)
-        recomputed = permutation_circle_graph(nxt)
+        enc = encode_permutation(nxt)
+        recomputed = circle_graph(enc.graph, enc.pa, enc.pb)
         if recomputed != lc_strip(h, v):
             raise AssertionError(
                 "circle graph after %s is not the strip at v%d" % (interval, v)
@@ -159,9 +159,10 @@ def reversal_distance(
     """
     if policy not in POLICIES:
         raise ValueError("unknown policy %r" % (policy,))
-    h = permutation_circle_graph(p)
+    enc = encode_permutation(p)
+    h = circle_graph(enc.graph, enc.pa, enc.pb)
     rank = adjacency_matrix(h).rank()
-    lb = distance_lower_bound(p)
+    lb = len(p) + 1 - target_circuit_count(enc.graph, enc.pb)
     if rank != lb:
         raise AssertionError("matrix rank disagrees with n + 1 - c")
 

@@ -1,6 +1,7 @@
-"""Shared fixtures: the exhaustive small-permutation sweep and random
-generators used across the suite, plus a terminal summary that prints one
-pass/fail line per acceptance criterion."""
+"""Shared fixtures: the exhaustive small-permutation sweep, random
+generators, and the route-switching reference circle graph used across the
+suite, plus a terminal summary that prints one pass/fail line per
+acceptance criterion."""
 
 import random
 import re
@@ -9,8 +10,19 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from revdcj.dcj import AdjacencySet, Extremity, HEAD, TAIL, genome_from_adjacency_set
+from revdcj.fourreg import (
+    CircuitPartition,
+    FourRegularGraph,
+    circuits,
+    encode_permutation,
+    is_euler_system,
+    supplementary,
+    switch_route,
+    _slot_walk,
+)
 from revdcj.graphs import LoopedGraph, adjacency_matrix
 from revdcj.localcomp import has_full_lc_sequence
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
@@ -18,6 +30,53 @@ from revdcj.perm import Genome, SignedPermutation
 from revdcj.sorter import circuit_count, permutation_circle_graph, sort_by_reversals
 
 SWEEP_MAX_N = 5
+
+
+def _interleaved(occ_u: tuple[int, int], occ_w: tuple[int, int]) -> bool:
+    inside = sum(1 for t in occ_w if occ_u[0] < t < occ_u[1])
+    return inside == 1
+
+
+def circle_graph_via_routes(
+    g: FourRegularGraph, p1: CircuitPartition, p2: CircuitPartition
+) -> LoopedGraph:
+    """Reference circle graph, built the long way round.
+
+    Edges come from comparing the visit positions of every vertex pair
+    along p1's circuits; v is looped when switching its route to p2's and
+    decomposing the whole graph into circuits again leaves one circuit per
+    component.  Independent of the one-walk construction in
+    ``revdcj.graphs.circle_graph``, which the suite checks against it.
+    """
+    if not supplementary(p1, p2):
+        raise ValueError("partitions are not supplementary")
+    if not is_euler_system(g, p1):
+        raise ValueError("p1 is not an Euler system")
+
+    edges: set[frozenset[int]] = set()
+    for steps in _slot_walk(g, p1):
+        word = [dep // 4 for _, dep in steps]
+        occ: dict[int, list[int]] = {}
+        for t, v in enumerate(word):
+            occ.setdefault(v, []).append(t)
+        verts = sorted(occ)
+        for i, u in enumerate(verts):
+            for w in verts[i + 1 :]:
+                if _interleaved(tuple(occ[u]), tuple(occ[w])):
+                    edges.add(frozenset({u, w}))
+
+    n_components = g.n_components()
+    for v in range(g.n_vertices):
+        switched = switch_route(p1, v, p2)
+        if len(circuits(g, switched)) == n_components:
+            edges.add(frozenset({v}))
+
+    return LoopedGraph(tuple(range(g.n_vertices)), frozenset(edges))
+
+
+def permutation_circle_graph_via_routes(p: SignedPermutation) -> LoopedGraph:
+    enc = encode_permutation(p)
+    return circle_graph_via_routes(enc.graph, enc.pa, enc.pb)
 
 
 @dataclass(frozen=True)
@@ -65,6 +124,20 @@ def small_sweep() -> SweepData:
             )
         rows[n] = out
     return SweepData(rows, time.monotonic() - started)
+
+
+def signed_permutations(max_n: int):
+    """Hypothesis strategy: uniform signed permutations with n <= max_n."""
+    return (
+        st.integers(min_value=0, max_value=max_n)
+        .flatmap(
+            lambda n: st.tuples(
+                st.permutations(list(range(1, n + 1))),
+                st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+            )
+        )
+        .map(lambda t: SignedPermutation(tuple(v * s for v, s in zip(*t))))
+    )
 
 
 def random_looped_graph(n: int, seed: int, edge_p: float = 0.4, loop_p: float = 0.5):

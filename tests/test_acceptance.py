@@ -51,7 +51,13 @@ from revdcj.sorter import (
     sort_by_reversals,
 )
 
-from conftest import SWEEP_MAX_N, marker_names, random_genome, random_looped_graph
+from conftest import (
+    SWEEP_MAX_N,
+    circle_graph_via_routes,
+    marker_names,
+    random_genome,
+    random_looped_graph,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -126,6 +132,7 @@ def test_criterion_3_nullity_counts_target_circuits(criterion_note):
         p1 = random_euler_system(g, rng.randrange(1 << 30))
         p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
         h = circle_graph(g, p1, p2)
+        assert h == circle_graph_via_routes(g, p1, p2)
         expected = len(circuits(g, p2)) - g.n_components()
         assert adjacency_matrix(h).nullity() == expected
     elapsed = time.monotonic() - started
@@ -196,7 +203,9 @@ def test_criterion_6_delta_matroid_suite(criterion_note):
         p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
         d = from_partitions(g, p1, p2)
         assert is_delta_matroid(d)
-        assert d == from_graph(circle_graph(g, p1, p2))
+        h = circle_graph(g, p1, p2)
+        assert h == circle_graph_via_routes(g, p1, p2)
+        assert d == from_graph(h)
 
     elapsed = time.monotonic() - started
     assert elapsed < 120.0

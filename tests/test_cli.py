@@ -140,6 +140,54 @@ class TestSortCommand:
         assert p == SignedPermutation((1, 2, 3, 4, 5, 6, 7))
 
 
+class TestNegativeLeadingPermutations:
+    def test_leading_minus_is_a_permutation_not_a_flag(self, capsys):
+        code, plain, _ = run(capsys, "distance", "-2,1")
+        assert code == 0
+        code, dashed, _ = run(capsys, "distance", "--", "-2,1")
+        assert code == 0
+        assert plain == dashed
+        assert plain.startswith("permutation: (-2, 1)\n")
+
+    def test_sort_json_agrees_with_distance(self, capsys):
+        code, out, _ = run(capsys, "sort", "-3,1,2", "--json")
+        assert code == 0
+        script = json.loads(out)
+        code, out, _ = run(capsys, "distance", "-3,1,2", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert script["source"] == report["permutation"] == {"values": [-3, 1, 2]}
+        assert script["claimed_distance"] == report["exact"]
+
+    def test_oracle_reads_a_negative_leading_permutation(self, capsys):
+        code, out, _ = run(capsys, "oracle", "rev", "-1")
+        assert code == 0
+        assert "distance: 1" in out
+
+    def test_unknown_flags_are_still_usage_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["distance", "--frob", "1,2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+class TestJsonIsNotDoubleEncoded:
+    def test_sort_fields_are_objects(self, capsys):
+        code, out, _ = run(capsys, "sort", "2,-1", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["source"] == {"values": [2, -1]}
+        assert all(isinstance(step["result"], dict) for step in data["steps"])
+
+    def test_dcj_genomes_are_objects(self, capsys):
+        code, out, _ = run(capsys, "dcj", "C: 1 2", "C: 1 -2", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["genome_a"] == {
+            "chromosomes": [{"shape": "circular", "markers": ["1", "2"]}]
+        }
+
+
 class TestCircleGraphCommand:
     def test_json_reconstructs_the_graph(self, capsys):
         code, out, _ = run(capsys, "circle-graph", PI7_ARG, "--json")

@@ -36,7 +36,7 @@ from revdcj.localcomp import (
 from revdcj.perm import SignedPermutation
 from revdcj.sorter import permutation_circle_graph
 
-from conftest import random_looped_graph
+from conftest import circle_graph_via_routes, random_looped_graph
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -192,6 +192,7 @@ class TestFromPartitions:
             for p in enumerate_signed_permutations(n):
                 enc = encode_permutation(p)
                 h = circle_graph(enc.graph, enc.pa, enc.pb)
+                assert h == circle_graph_via_routes(enc.graph, enc.pa, enc.pb)
                 assert from_partitions(enc.graph, enc.pa, enc.pb) == from_graph(h)
 
     def test_equals_the_matrix_construction_on_random_encodings(self):
@@ -208,7 +209,9 @@ class TestFromPartitions:
             p1 = random_euler_system(g, rng.randrange(1 << 30))
             p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
             d = from_partitions(g, p1, p2)
-            assert d == from_graph(circle_graph(g, p1, p2))
+            h = circle_graph(g, p1, p2)
+            assert h == circle_graph_via_routes(g, p1, p2)
+            assert d == from_graph(h)
             assert d.binary_normal
 
     def test_empty_set_is_a_member_for_euler_sources(self):

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from revdcj.fourreg import (
+    CircuitPartition,
     encode_permutation,
     circuits,
     random_euler_system,
@@ -25,10 +27,16 @@ from revdcj.graphs import (
     looped_graph_to_dot,
     matrix_pretty,
 )
+from revdcj.oracle import enumerate_signed_permutations
 from revdcj.perm import SignedPermutation, identity
 from revdcj.sorter import permutation_circle_graph
 
-from conftest import random_looped_graph
+from conftest import (
+    circle_graph_via_routes,
+    permutation_circle_graph_via_routes,
+    random_looped_graph,
+    signed_permutations,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -106,6 +114,61 @@ class TestCircleGraph:
         enc = encode_permutation(PI7)
         with pytest.raises(ValueError):
             circle_graph(enc.graph, enc.pb, enc.pa)
+
+
+class TestDirectMatchesRouteReference:
+    """The one-walk circle graph against the route-switching construction."""
+
+    def test_every_permutation_of_the_sweep(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                direct = permutation_circle_graph(row.perm)
+                assert direct == permutation_circle_graph_via_routes(row.perm)
+
+    def test_every_permutation_with_n_6(self):
+        for p in enumerate_signed_permutations(6):
+            assert permutation_circle_graph(p) == permutation_circle_graph_via_routes(p)
+
+    def test_random_four_regular_including_several_components(self):
+        rng = random.Random(11)
+        split = 0
+        for _ in range(400):
+            g = random_four_regular(rng.randint(1, 12), rng.randrange(1 << 30))
+            p1 = random_euler_system(g, rng.randrange(1 << 30))
+            p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
+            split += g.n_components() > 1
+            assert circle_graph(g, p1, p2) == circle_graph_via_routes(g, p1, p2)
+        assert split > 0
+
+    def test_rejects_exactly_the_non_euler_sources(self):
+        rng = random.Random(12)
+        rejected = 0
+        for _ in range(300):
+            g = random_four_regular(rng.randint(1, 8), rng.randrange(1 << 30))
+            p1 = CircuitPartition(
+                tuple(rng.choice((1, 2, 3)) for _ in range(g.n_vertices))
+            )
+            p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
+            try:
+                expected = circle_graph_via_routes(g, p1, p2)
+            except ValueError:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    circle_graph(g, p1, p2)
+            else:
+                assert circle_graph(g, p1, p2) == expected
+        assert 0 < rejected < 300
+
+    def test_partition_of_the_wrong_size_rejected(self):
+        enc = encode_permutation(PI7)
+        short = CircuitPartition(enc.pa.routes[:-1])
+        with pytest.raises(ValueError):
+            circle_graph(enc.graph, short, CircuitPartition(enc.pb.routes[:-1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_permutations(max_n=40))
+    def test_larger_permutations(self, p):
+        assert permutation_circle_graph(p) == permutation_circle_graph_via_routes(p)
 
 
 class TestMatrix:
@@ -186,6 +249,7 @@ class TestNullityTheorem:
             p1 = random_euler_system(g, rng.randrange(1 << 30))
             p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
             h = circle_graph(g, p1, p2)
+            assert h == circle_graph_via_routes(g, p1, p2)
             expected = len(circuits(g, p2)) - g.n_components()
             assert adjacency_matrix(h).nullity() == expected
 
@@ -204,8 +268,17 @@ class TestNullityTheorem:
             p = SignedPermutation(tuple(v * rng.choice((1, -1)) for v in values))
             enc = encode_permutation(p)
             h = circle_graph(enc.graph, enc.pa, enc.pb)
+            assert h == circle_graph_via_routes(enc.graph, enc.pa, enc.pb)
             c = target_circuit_count(enc.graph, enc.pb)
             assert adjacency_matrix(h).nullity() == c
+
+    @settings(max_examples=40, deadline=None)
+    @given(signed_permutations(max_n=300))
+    def test_direct_rank_is_n_plus_one_minus_c(self, p):
+        from revdcj.sorter import circuit_count
+
+        rank = adjacency_matrix(permutation_circle_graph(p)).rank()
+        assert rank == len(p) + 1 - circuit_count(p)
 
     def test_rank_zero_exactly_for_the_identity(self, small_sweep):
         from revdcj.perm import is_identity

@@ -22,20 +22,9 @@ from revdcj.perm import (
     reverse_complement,
 )
 
+from conftest import signed_permutations
+
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
-
-
-def signed_perms(max_n=6):
-    return (
-        st.integers(min_value=0, max_value=max_n)
-        .flatmap(
-            lambda n: st.tuples(
-                st.permutations(list(range(1, n + 1))),
-                st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
-            )
-        )
-        .map(lambda t: SignedPermutation(tuple(v * s for v, s in zip(*t))))
-    )
 
 
 class TestParsing:
@@ -67,13 +56,16 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_permutation("1,x")
 
-    @given(signed_perms())
+    @given(signed_permutations(max_n=6))
     def test_str_roundtrips_through_parse(self, p):
         assert parse_permutation(str(p).strip("()")) == p
 
-    @given(signed_perms())
+    @given(signed_permutations(max_n=6))
     def test_json_roundtrip(self, p):
         assert permutation_from_json(p.to_json()) == p
+
+    def test_json_is_a_plain_dict(self):
+        assert SignedPermutation((2, -1)).to_json() == {"values": [2, -1]}
 
 
 class TestApplyReversal:
@@ -112,7 +104,7 @@ class TestApplyReversal:
         with pytest.raises(ValueError):
             ReversalInterval(0, 1)
 
-    @given(signed_perms(), st.data())
+    @given(signed_permutations(max_n=6), st.data())
     def test_reversals_are_involutions(self, p, data):
         if len(p) == 0:
             return
@@ -149,7 +141,7 @@ class TestReverseComplement:
     def test_single(self):
         assert reverse_complement(SignedPermutation((1,))).values == (-1,)
 
-    @given(signed_perms())
+    @given(signed_permutations(max_n=6))
     def test_involution(self, p):
         assert reverse_complement(reverse_complement(p)) == p
 
@@ -202,8 +194,9 @@ class TestGenomes:
 
     def test_json_roundtrip(self):
         g = parse_genome("L: b -d c\nC: a -e f")
-        assert genome_from_json(g.to_json()) == g
-        data = json.loads(g.to_json())
+        data = g.to_json()
+        assert genome_from_json(data) == g
+        assert json.loads(json.dumps(data)) == data
         assert {c["shape"] for c in data["chromosomes"]} == {LINEAR, CIRCULAR}
 
     def test_genome_str_parses_back(self):

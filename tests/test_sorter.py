@@ -1,8 +1,9 @@
 """The reversal-distance pipeline: bounds, scripts, and reports."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from revdcj.localcomp import lc_strip, ms_set
+from revdcj.localcomp import has_full_lc_sequence, lc_strip, ms_set
 from revdcj.perm import ReversalInterval, SignedPermutation, apply_reversal, identity
 from revdcj.sorter import (
     OrientationPair,
@@ -17,7 +18,33 @@ from revdcj.sorter import (
     sort_by_reversals,
 )
 
+from conftest import signed_permutations
+
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
+
+
+@st.composite
+def scrambled_identities(draw, max_n, max_reversals):
+    """The identity after a few random reversals, as for related genomes."""
+    n = draw(st.integers(1, max_n))
+    p = identity(n)
+    for _ in range(draw(st.integers(0, max_reversals))):
+        start = draw(st.integers(1, n))
+        p = apply_reversal(p, ReversalInterval(start, draw(st.integers(start, n))))
+    return p
+
+
+def assert_script_replays(p):
+    script = sort_by_reversals(p)
+    if script is None:
+        assert not has_full_lc_sequence(permutation_circle_graph(p))
+        return
+    cur = p
+    for interval, expected in script.steps:
+        cur = apply_reversal(cur, interval)
+        assert cur == expected
+    assert cur == identity(len(p))
+    assert script.claimed_distance == distance_lower_bound(p)
 
 
 class TestCircuitCount:
@@ -66,6 +93,17 @@ class TestReversalForVertex:
         assert reversal_for_vertex(p, 0) == ReversalInterval(1, 1)
         assert reversal_for_vertex(p, 1) == ReversalInterval(1, 1)
 
+    def test_oriented_exactly_at_looped_vertices(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                h = permutation_circle_graph(row.perm)
+                for v in h.vertices:
+                    if h.has_loop(v):
+                        reversal_for_vertex(row.perm, v)
+                    else:
+                        with pytest.raises(ValueError):
+                            reversal_for_vertex(row.perm, v)
+
     def test_reversal_at_vertex_strips_its_loop(self, small_sweep):
         # applying the chosen reversal commutes with stripping the vertex
         for row in small_sweep.rows[4]:
@@ -74,6 +112,29 @@ class TestReversalForVertex:
                 r = reversal_for_vertex(row.perm, v)
                 after = permutation_circle_graph(apply_reversal(row.perm, r))
                 assert after == lc_strip(h, v)
+
+
+class TestScriptsAtScale:
+    @settings(max_examples=50, deadline=None)
+    @given(scrambled_identities(max_n=300, max_reversals=12))
+    def test_scripts_replay_near_the_identity(self, p):
+        assert_script_replays(p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(signed_permutations(max_n=80))
+    def test_scripts_replay_on_uniform_permutations(self, p):
+        assert_script_replays(p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(signed_permutations(max_n=300))
+    def test_oriented_exactly_at_looped_vertices(self, p):
+        h = permutation_circle_graph(p)
+        for v in h.vertices:
+            if h.has_loop(v):
+                reversal_for_vertex(p, v)
+            else:
+                with pytest.raises(ValueError):
+                    reversal_for_vertex(p, v)
 
 
 class TestReversalScript:
