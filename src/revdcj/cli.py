@@ -4,8 +4,9 @@ Subcommands mirror the library layers: distance and sort for signed
 permutations, circle-graph and fourreg for the graph machinery, dm for
 the set-system view, dcj for genome pairs, oracle for the brute-force
 referees.  Data goes to stdout, errors to stderr; exit status is 0 on
-success, 1 on a domain error (bad permutation, oversize oracle call), and
-2 on usage errors.
+success, 1 on a domain error (bad permutation, oversize oracle call), 2
+on usage errors, and 3 on an internal error (a failed cross-check or
+invariant), which prints an ``internal error: ...`` line.
 
 Permutation and genome arguments are taken literally, or read from a file
 when the argument names one; inline genomes may separate chromosomes with
@@ -49,7 +50,6 @@ from .oracle import brute_dcj_distance, brute_reversal_distance
 from .perm import CIRCULAR, Genome, SignedPermutation, parse_genome, parse_permutation
 from .sorter import (
     both_orientation_distance,
-    circuit_count,
     permutation_circle_graph,
     reversal_distance,
     sort_by_reversals,
@@ -104,14 +104,15 @@ def _cmd_distance(args) -> int:
         print("exact: %s" % _fmt(pair.exact))
         return 0
     rep = reversal_distance(p, policy=args.policy, oracle_cap=args.oracle_cap)
+    c = len(p) + 1 - rep.lower_bound
     if args.json:
         data = rep.to_json()
-        data["c"] = circuit_count(p)
+        data["c"] = c
         _emit_json(data)
         return 0
     print("permutation: %s" % p)
     print("n: %d" % len(p))
-    print("c: %d" % circuit_count(p))
+    print("c: %d" % c)
     print("lower bound: %d" % rep.lower_bound)
     print("exact: %s" % _fmt(rep.exact))
     print("method: %s" % rep.method)
@@ -484,6 +485,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fourreg import encode_circular_genomes, target_circuit_count
+from .fourreg import encode_circular_genomes, target_circuit_count, union_find
 from .perm import CIRCULAR, LINEAR, Chromosome, Genome
 
 HEAD = "head"
@@ -210,25 +210,13 @@ def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
     edges = tuple((a_home[e], b_home[e], e) for e in extremities)
 
     n_nodes = len(a_nodes) + len(b_nodes)
-    root = list(range(n_nodes))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for ai, bi, _ in edges:
-        ra, rb = find(ai), find(len(a_nodes) + bi)
-        if ra != rb:
-            root[ra] = rb
-
+    roots = union_find(n_nodes, ((ai, len(a_nodes) + bi) for ai, bi, _ in edges))
     members: dict[int, list[int]] = {}
-    for node in range(n_nodes):
-        members.setdefault(find(node), []).append(node)
+    for node, rep in enumerate(roots):
+        members.setdefault(rep, []).append(node)
     edge_count: dict[int, int] = {}
-    for ai, bi, _ in edges:
-        edge_count[find(ai)] = edge_count.get(find(ai), 0) + 1
+    for ai, _, _ in edges:
+        edge_count[roots[ai]] = edge_count.get(roots[ai], 0) + 1
 
     components = []
     for rep in sorted(members, key=lambda r: min(members[r])):

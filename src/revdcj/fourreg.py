@@ -87,19 +87,25 @@ class FourRegularGraph:
         return owner
 
     def n_components(self) -> int:
-        root = list(range(self.n_vertices))
+        roots = union_find(self.n_vertices, ((a // 4, b // 4) for a, b in self.edges))
+        return len(set(roots))
 
-        def find(x):
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
 
-        for a, b in self.edges:
-            ra, rb = find(a // 4), find(b // 4)
-            if ra != rb:
-                root[ra] = rb
-        return len({find(v) for v in range(self.n_vertices)})
+def union_find(n: int, pairs) -> list[int]:
+    """The root of each of 0..n-1 once every given pair is joined."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+    return [find(x) for x in range(n)]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Looped simple graphs and their GF(2) adjacency matrices.
+"""Looped simple graphs as their GF(2) adjacency rows.
 
-The circle graph of an Euler system records which vertex pairs interleave
-along the Eulerian circuits; a vertex carries a loop when switching its
-route to the supplementary partition's yields another Euler system.  Rank
-and nullity of the adjacency matrix over GF(2) drive the distance bounds,
-so the matrix type keeps rows as int bitmasks and does Gaussian
-elimination directly on them.
+A looped graph is its adjacency matrix over GF(2): row i is an int
+bitmask, bit j of it joins vertices i and j, and the diagonal bit is the
+loop.  The circle graph of an Euler system records which vertex pairs
+interleave along the Eulerian circuits; a vertex carries a loop when
+switching its route to the supplementary partition's yields another Euler
+system.  Rank and nullity of the rows drive the distance bounds, local
+complementation is a row XOR (see ``localcomp``), and components come
+from flood-filling row masks, so every layer reads the same rows.
 
 ``circle_graph`` reads both from one walk of each circuit.  Interleaved
 vertices are those seen an odd number of times between a vertex's two
@@ -32,86 +34,131 @@ from .fourreg import (  # noqa: F401  circuits stays importable from this module
 )
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class LoopedGraph:
-    """An undirected graph on integer vertices; size-1 edges are loops."""
+    """An undirected graph on sorted integer vertices, held as GF(2) rows.
+
+    Bit j of rows[i] joins vertices[i] and vertices[j]; bit i of rows[i]
+    is the loop at vertices[i].  The rows must be symmetric.
+    """
 
     vertices: tuple[int, ...]
-    edges: frozenset[frozenset[int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         if tuple(sorted(set(self.vertices))) != self.vertices:
             raise ValueError("vertices must be sorted and distinct")
-        if not set(map(len, self.edges)) <= {1, 2}:
-            raise ValueError("edges join one or two vertices")
-        vs = frozenset(self.vertices)
-        if not vs.issuperset(frozenset().union(*self.edges)):
-            bad = next(e for e in self.edges if not e <= vs)
-            raise ValueError("edge %r leaves the vertex set" % (set(bad),))
+        if len(self.rows) != len(self.vertices):
+            raise ValueError("one row per vertex")
+        rows = self.rows
+        outside = -1 << len(rows)
+        # symmetric in O(n + |E|): every bit above the diagonal has its
+        # mirror, and no more bits lie below the diagonal than above it
+        upper = lower = 0
+        for i, row in enumerate(rows):
+            if row & outside:
+                raise ValueError("row %d has a bit outside the vertex set" % i)
+            above = row >> (i + 1)
+            upper += above.bit_count()
+            lower += (row & ((1 << i) - 1)).bit_count()
+            while above:
+                low = above & -above  # bit k of above is column i + 1 + k
+                if not rows[i + low.bit_length()] >> i & 1:
+                    raise ValueError("rows are not symmetric")
+                above ^= low
+        if upper != lower:
+            raise ValueError("rows are not symmetric")
 
     @cached_property
-    def _lookup(self) -> tuple[dict[int, frozenset[int]], frozenset[int]]:
-        # neighbor sets and looped vertices, built once per graph
-        hood: dict[int, set[int]] = {v: set() for v in self.vertices}
-        loops = set()
-        for e in self.edges:
-            if len(e) == 1:
-                loops.update(e)
-            else:
-                a, b = e
-                hood[a].add(b)
-                hood[b].add(a)
-        return {v: frozenset(s) for v, s in hood.items()}, frozenset(loops)
+    def edges(self) -> frozenset[frozenset[int]]:
+        """Edges as vertex sets, derived from the rows; loops have size 1."""
+        vs = self.vertices
+        return frozenset(
+            frozenset({vs[i], vs[i + k]})
+            for i, row in enumerate(self.rows)
+            for k in _bits(row >> i)
+        )
+
+    @property
+    def loop_mask(self) -> int:
+        """Bit i set iff vertices[i] carries a loop."""
+        return sum(row & (1 << i) for i, row in enumerate(self.rows))
 
     def has_loop(self, v: int) -> bool:
-        return v in self._lookup[1]
+        i = self.vertices.index(v)
+        return bool(self.rows[i] >> i & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._lookup[0].get(v, frozenset())
+        i = self.vertices.index(v)
+        return frozenset(self.vertices[j] for j in _bits(self.rows[i] & ~(1 << i)))
 
     def looped_vertices(self) -> frozenset[int]:
-        return self._lookup[1]
+        return frozenset(self.vertices[i] for i in _bits(self.loop_mask))
 
     def has_any_edge(self) -> bool:
-        return bool(self.edges)
+        return any(self.rows)
 
 
 def looped_graph(vertices, edges) -> LoopedGraph:
-    """Normalize arbitrary vertex/edge iterables into a LoopedGraph."""
-    return LoopedGraph(
-        tuple(sorted(set(vertices))), frozenset(frozenset(e) for e in edges)
-    )
+    """Build a LoopedGraph from vertex and edge iterables (duplicates merge)."""
+    vertices = tuple(sorted(set(vertices)))
+    pos = {v: i for i, v in enumerate(vertices)}
+    rows = [0] * len(vertices)
+    for e in map(frozenset, edges):
+        if len(e) not in (1, 2):
+            raise ValueError("edges join one or two vertices")
+        if not e <= pos.keys():
+            raise ValueError("edge %r leaves the vertex set" % (set(e),))
+        ends = [pos[v] for v in e]
+        a, b = ends[0], ends[-1]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return LoopedGraph(vertices, tuple(rows))
 
 
 def induced_subgraph(h: LoopedGraph, keep) -> LoopedGraph:
     keep = frozenset(keep)
     if not keep <= set(h.vertices):
         raise ValueError("subgraph vertices must come from the graph")
+    kept = [i for i, v in enumerate(h.vertices) if v in keep]
     return LoopedGraph(
-        tuple(sorted(keep)), frozenset(e for e in h.edges if e <= keep)
+        tuple(h.vertices[i] for i in kept),
+        tuple(
+            sum(1 << k for k, j in enumerate(kept) if h.rows[i] >> j & 1)
+            for i in kept
+        ),
     )
+
+
+def component_masks(h: LoopedGraph):
+    """Row-position masks of the components under non-loop edges, in
+    order of their lowest position; each is flood-filled by OR-ing rows."""
+    rest = (1 << len(h.rows)) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= h.rows[i]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest ^= comp
+        yield comp
 
 
 def connected_components(h: LoopedGraph) -> tuple[frozenset[int], ...]:
     """Components under non-loop edges, sorted by least vertex."""
-    root = {v: v for v in h.vertices}
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for e in h.edges:
-        if len(e) == 2:
-            a, b = sorted(e)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in h.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    return tuple(
+        frozenset(h.vertices[i] for i in _bits(comp)) for comp in component_masks(h)
+    )
 
 
 @dataclass(frozen=True)
@@ -149,18 +196,8 @@ def gf2_rank(rows) -> int:
 
 
 def adjacency_matrix(h: LoopedGraph) -> Gf2Matrix:
-    """Adjacency over GF(2); loops put a 1 on the diagonal."""
-    pos = {v: i for i, v in enumerate(h.vertices)}
-    rows = [0] * len(h.vertices)
-    for e in h.edges:
-        if len(e) == 1:
-            (v,) = e
-            rows[pos[v]] |= 1 << pos[v]
-        else:
-            a, b = e
-            rows[pos[a]] |= 1 << pos[b]
-            rows[pos[b]] |= 1 << pos[a]
-    return Gf2Matrix(h.vertices, tuple(rows))
+    """Adjacency over GF(2): the graph's own rows, loops on the diagonal."""
+    return Gf2Matrix(h.vertices, h.rows)
 
 
 def matrix_pretty(m: Gf2Matrix, labels=None) -> str:
@@ -196,7 +233,6 @@ def circle_graph(
     if not supplementary(p1, p2):
         raise ValueError("partitions are not supplementary")
     rows = [0] * g.n_vertices
-    looped = []
     for steps in _slot_walk(g, p1):
         # vertex -> (arrival slot, prefix just after) of its first visit
         first: dict[int, tuple[int, int]] = {}
@@ -207,33 +243,23 @@ def circle_graph(
                 arrive_a, prefix_a = first.pop(v)
                 rows[v] = prefix ^ prefix_a
                 if _ROUTE_MATE[p2.routes[v]][arrive_a % 4] == arrive % 4:
-                    looped.append(v)
+                    rows[v] |= 1 << v
             else:
                 first[v] = (arrive, prefix ^ (1 << v))
             prefix ^= 1 << v
         if first:
             # a vertex left for another circuit of its component
             raise ValueError("p1 is not an Euler system")
-
-    edges = {frozenset({v}) for v in looped}
-    for u, row in enumerate(rows):
-        row >>= u + 1
-        w = u + 1
-        while row:
-            skip = (row & -row).bit_length() - 1
-            w += skip
-            edges.add(frozenset({u, w}))
-            row >>= skip + 1
-            w += 1
-    return LoopedGraph(tuple(range(g.n_vertices)), frozenset(edges))
+    return LoopedGraph(tuple(range(g.n_vertices)), tuple(rows))
 
 
 def looped_graph_to_dot(h: LoopedGraph, labels=None) -> str:
     if labels is None:
         labels = {v: "v%d" % v for v in h.vertices}
+    looped = h.looped_vertices()
     lines = ["graph circle {"]
     for v in h.vertices:
-        shape = "doublecircle" if h.has_loop(v) else "circle"
+        shape = "doublecircle" if v in looped else "circle"
         lines.append('  n%d [label="%s", shape=%s];' % (v, labels[v], shape))
     for e in sorted(h.edges, key=sorted):
         if len(e) == 2:
@@ -247,7 +273,7 @@ def graph_to_json(h: LoopedGraph) -> dict:
     return {
         "vertices": list(h.vertices),
         "edges": sorted(sorted(e) for e in h.edges if len(e) == 2),
-        "loops": sorted(v for v in h.vertices if h.has_loop(v)),
+        "loops": sorted(h.looped_vertices()),
     }
 
 

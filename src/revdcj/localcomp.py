@@ -1,58 +1,65 @@
 """Local complementation on looped graphs and lc-sequences.
 
 Complementing at a looped vertex v toggles every pair (and every loop)
-inside the open neighborhood of v.  The strip variant then deletes the
-edges and loop at v, which models one sorting step; the contract variant
-also removes v from the vertex set.  An lc-sequence applies strips in
-order, requiring a loop at each turn; it is full when the final graph has
-no edges and no loops left.
+inside the open neighborhood N(v); on the graph's GF(2) rows that is
+rows[j] ^= N(v) for each neighbor j.  The strip variant then deletes the
+edges and loop at v, which models one sorting step.  Its step law is one
+row XOR per neighbor: rows[j] ^= rows[v] (N(v) plus v's own loop bit,
+which clears the edge to v), then rows[v] = 0.  The contract variant also
+removes v from the vertex set.  An lc-sequence applies strips in order,
+requiring a loop at each turn; it is full when the final graph has no
+edges and no loops left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import LoopedGraph, adjacency_matrix, connected_components
+from .graphs import LoopedGraph, _bits, adjacency_matrix, component_masks
+
+
+def _looped_row(h: LoopedGraph, v: int) -> tuple[int, int]:
+    """v's position and row, refusing an unknown or loopless v."""
+    if v not in h.vertices:
+        raise ValueError("unknown vertex %r" % (v,))
+    i = h.vertices.index(v)
+    if not h.rows[i] >> i & 1:
+        raise ValueError("local complementation requires a loop at %r" % (v,))
+    return i, h.rows[i]
 
 
 def local_complement(h: LoopedGraph, v: int) -> LoopedGraph:
     """Toggle all pairs and loops within the open neighborhood of v."""
-    if v not in h.vertices:
-        raise ValueError("unknown vertex %r" % (v,))
-    if not h.has_loop(v):
-        raise ValueError("local complementation requires a loop at %r" % (v,))
-    hood = sorted(h.neighbors(v))
-    edges = set(h.edges)
-    for a, b in combinations(hood, 2):
-        edges ^= {frozenset({a, b})}
-    for a in hood:
-        edges ^= {frozenset({a})}
-    return LoopedGraph(h.vertices, frozenset(edges))
+    i, row = _looped_row(h, v)
+    hood = row ^ (1 << i)
+    rows = list(h.rows)
+    for j in _bits(hood):
+        rows[j] ^= hood
+    return LoopedGraph(h.vertices, tuple(rows))
 
 
 def lc_strip(h: LoopedGraph, v: int) -> LoopedGraph:
     """Locally complement at v, then delete v's loop and incident edges."""
-    flipped = local_complement(h, v)
-    return LoopedGraph(
-        flipped.vertices, frozenset(e for e in flipped.edges if v not in e)
-    )
+    i, row = _looped_row(h, v)
+    rows = list(h.rows)
+    for j in _bits(row ^ (1 << i)):
+        rows[j] ^= row
+    rows[i] = 0
+    return LoopedGraph(h.vertices, tuple(rows))
 
 
 def lc_contract(h: LoopedGraph, v: int) -> LoopedGraph:
     """Locally complement at v, then remove v entirely."""
     stripped = lc_strip(h, v)
+    i = h.vertices.index(v)
+    low = (1 << i) - 1
     return LoopedGraph(
-        tuple(u for u in stripped.vertices if u != v), stripped.edges
-    )
-
-
-def delete_vertex(h: LoopedGraph, v: int) -> LoopedGraph:
-    if v not in h.vertices:
-        raise ValueError("unknown vertex %r" % (v,))
-    return LoopedGraph(
-        tuple(u for u in h.vertices if u != v),
-        frozenset(e for e in h.edges if v not in e),
+        h.vertices[:i] + h.vertices[i + 1 :],
+        tuple(
+            row & low | row >> (i + 1) << i
+            for j, row in enumerate(stripped.rows)
+            if j != i
+        ),
     )
 
 
@@ -68,75 +75,50 @@ class LcSequence:
         return len(self.vertices)
 
 
-def apply_lc_sequence(h: LoopedGraph, seq: LcSequence) -> LoopedGraph:
-    """Strip at each vertex in turn; raises if some vertex lacks its loop."""
-    cur = h
+def _strip_along(h: LoopedGraph, seq: LcSequence) -> LoopedGraph | None:
+    """The graph left after stripping at each vertex of seq in turn, or
+    None when some vertex is missing or loopless when its turn comes."""
     for v in seq.vertices:
-        cur = lc_strip(cur, v)
-    return cur
+        if v not in h.vertices or not h.has_loop(v):
+            return None
+        h = lc_strip(h, v)
+    return h
 
 
 def is_lc_sequence(h: LoopedGraph, seq: LcSequence) -> bool:
-    cur = h
-    for v in seq.vertices:
-        if v not in cur.vertices or not cur.has_loop(v):
-            return False
-        cur = lc_strip(cur, v)
-    return True
+    return _strip_along(h, seq) is not None
 
 
 def is_full_lc_sequence(h: LoopedGraph, seq: LcSequence) -> bool:
     """An lc-sequence that leaves no edges and no loops behind."""
-    cur = h
-    for v in seq.vertices:
-        if v not in cur.vertices or not cur.has_loop(v):
-            return False
-        cur = lc_strip(cur, v)
-    return not cur.edges
-
-
-@dataclass(frozen=True)
-class NeighborhoodSplit:
-    looped: frozenset[int]
-    unlooped: frozenset[int]
-
-    @property
-    def score(self) -> int:
-        return len(self.unlooped) - len(self.looped)
-
-
-def split_neighborhood(h: LoopedGraph, v: int) -> NeighborhoodSplit:
-    hood = h.neighbors(v)
-    looped = hood & h.looped_vertices()
-    return NeighborhoodSplit(looped, hood - looped)
-
-
-def vertex_score(h: LoopedGraph, v: int) -> int:
-    return split_neighborhood(h, v).score
+    end = _strip_along(h, seq)
+    return end is not None and not end.has_any_edge()
 
 
 def ms_set(h: LoopedGraph) -> frozenset[int]:
-    """Looped vertices whose looped neighbors all score no higher."""
-    looped = h.looped_vertices()
-    score = {v: vertex_score(h, v) for v in looped}
+    """Looped vertices whose looped neighbors all score no higher.
+
+    The score of v is |N^ul(v)| - |N^l(v)|, its unlooped neighbors minus
+    its looped ones, read off v's row by two popcounts.
+    """
+    loops = h.loop_mask
+    score = {}
+    for i in _bits(loops):
+        hood = h.rows[i] ^ (1 << i)
+        score[i] = (hood & ~loops).bit_count() - (hood & loops).bit_count()
     return frozenset(
-        v
-        for v in looped
-        if all(score[w] <= score[v] for w in h.neighbors(v) & looped)
+        h.vertices[i]
+        for i, s in score.items()
+        if all(score[j] <= s for j in _bits((h.rows[i] ^ (1 << i)) & loops))
     )
 
 
 def has_full_lc_sequence(h: LoopedGraph) -> bool:
     """True iff every component without a loop is a single isolated vertex."""
-    for comp in connected_components(h):
-        if any(h.has_loop(v) for v in comp):
-            continue
-        if len(comp) > 1:
-            return False
-        (v,) = comp
-        if h.neighbors(v):
-            return False
-    return True
+    loops = h.loop_mask
+    return all(
+        comp & loops or not comp & (comp - 1) for comp in component_masks(h)
+    )
 
 
 def find_full_lc_sequence(h: LoopedGraph) -> LcSequence | None:
@@ -161,17 +143,3 @@ def find_full_lc_sequence(h: LoopedGraph) -> LcSequence | None:
     if len(seq) != adjacency_matrix(h).rank():
         raise AssertionError("greedy sequence length differs from matrix rank")
     return seq
-
-
-def rank_drop_check(h: LoopedGraph, v: int) -> bool:
-    """Stripping at a looped v lowers the GF(2) rank by exactly one."""
-    before = adjacency_matrix(h).rank()
-    after = adjacency_matrix(lc_strip(h, v)).rank()
-    return after == before - 1
-
-
-def nullity_preserved_on_delete(h: LoopedGraph, v: int) -> bool:
-    """Deleting a looped v after complementation keeps the nullity."""
-    before = adjacency_matrix(h).nullity()
-    after = adjacency_matrix(lc_contract(h, v)).nullity()
-    return after == before

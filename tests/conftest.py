@@ -23,7 +23,7 @@ from revdcj.fourreg import (
     switch_route,
     _slot_walk,
 )
-from revdcj.graphs import LoopedGraph, adjacency_matrix
+from revdcj.graphs import LoopedGraph, adjacency_matrix, looped_graph
 from revdcj.localcomp import has_full_lc_sequence
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
 from revdcj.perm import Genome, SignedPermutation
@@ -71,7 +71,7 @@ def circle_graph_via_routes(
         if len(circuits(g, switched)) == n_components:
             edges.add(frozenset({v}))
 
-    return LoopedGraph(tuple(range(g.n_vertices)), frozenset(edges))
+    return looped_graph(range(g.n_vertices), edges)
 
 
 def permutation_circle_graph_via_routes(p: SignedPermutation) -> LoopedGraph:
@@ -149,7 +149,7 @@ def random_looped_graph(n: int, seed: int, edge_p: float = 0.4, loop_p: float = 
         for b in range(a + 1, n):
             if rng.random() < edge_p:
                 edges.add(frozenset({a, b}))
-    return LoopedGraph(tuple(range(n)), frozenset(edges))
+    return looped_graph(range(n), edges)
 
 
 def random_genome(names, rng) -> Genome:

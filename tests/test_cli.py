@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, JSON modes, files, exit codes."""
 
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from revdcj.perm import (
     ReversalInterval,
     permutation_from_json,
 )
-from revdcj.sorter import permutation_circle_graph
+from revdcj.sorter import circuit_count, permutation_circle_graph
 
 PI7_ARG = "1,-6,7,4,-2,-5,3"
 
@@ -108,6 +109,18 @@ class TestDistanceCommand:
         assert data["method"] == "hp_criterion"
         p = permutation_from_json(data["permutation"])
         assert p == SignedPermutation((1, -6, 7, 4, -2, -5, 3))
+
+    def test_c_is_the_circuit_count(self, capsys):
+        rng = random.Random(30)
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            values = [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n)]
+            arg = ",".join(map(str, values))
+            c = circuit_count(SignedPermutation(tuple(values)))
+            code, out, _ = run(capsys, "distance", arg, "--policy", "bound_only", "--json")
+            assert code == 0 and json.loads(out)["c"] == c
+            code, out, _ = run(capsys, "distance", arg, "--policy", "bound_only")
+            assert code == 0 and "\nc: %d\n" % c in out
 
     def test_permutation_from_a_file(self, capsys, tmp_path):
         path = tmp_path / "perm.txt"
@@ -335,6 +348,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "distance", "1,0,2")
         assert code == 1
         assert err == "error: zero entry in signed permutation\n"
+
+    def test_internal_errors_exit_three(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("matrix rank disagrees with n + 1 - c")
+
+        monkeypatch.setattr(cli, "reversal_distance", broken)
+        code, out, err = run(capsys, "distance", PI7_ARG)
+        assert (code, out) == (3, "")
+        assert err == "internal error: matrix rank disagrees with n + 1 - c\n"
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

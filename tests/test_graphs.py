@@ -60,17 +60,41 @@ v7  0  1  0  0  0  1  0  0"""
 class TestLoopedGraph:
     def test_vertices_must_be_sorted_and_distinct(self):
         with pytest.raises(ValueError):
-            LoopedGraph((1, 0), frozenset())
+            LoopedGraph((1, 0), (0, 0))
         with pytest.raises(ValueError):
-            LoopedGraph((0, 0), frozenset())
+            LoopedGraph((0, 0), (0, 0))
 
     def test_edges_join_one_or_two_vertices(self):
         with pytest.raises(ValueError):
-            LoopedGraph((0, 1, 2), frozenset({frozenset({0, 1, 2})}))
+            looped_graph((0, 1, 2), [frozenset({0, 1, 2})])
 
     def test_edges_stay_inside_the_vertex_set(self):
         with pytest.raises(ValueError):
-            LoopedGraph((0,), frozenset({frozenset({0, 1})}))
+            looped_graph((0,), [frozenset({0, 1})])
+
+    def test_rows_must_be_symmetric(self):
+        with pytest.raises(ValueError):
+            LoopedGraph((0, 1), (0b10, 0))  # 0-1 above the diagonal only
+        with pytest.raises(ValueError):
+            LoopedGraph((0, 1), (0, 0b01))  # 1-0 below the diagonal only
+        with pytest.raises(ValueError):
+            LoopedGraph((0, 1, 2), (0b110, 0b001, 0b010))  # 0-2 vs 2-1
+        assert LoopedGraph((0, 1), (0b11, 0b01)).edges == {
+            frozenset({0}),
+            frozenset({0, 1}),
+        }
+
+    def test_rows_stay_inside_the_vertex_set(self):
+        with pytest.raises(ValueError):
+            LoopedGraph((0, 1), (0b100, 0))
+        with pytest.raises(ValueError):
+            LoopedGraph((0,), (-1,))
+
+    def test_one_row_per_vertex(self):
+        with pytest.raises(ValueError):
+            LoopedGraph((0, 1), (0,))
+        with pytest.raises(ValueError):
+            LoopedGraph((0,), (0, 0))
 
     def test_normalizer_deduplicates(self):
         h = looped_graph([2, 0, 1, 1], [(0, 1), (1, 0), (2,)])
@@ -291,6 +315,22 @@ class TestNullityTheorem:
 class TestSerialization:
     def test_json_roundtrip(self):
         h = permutation_circle_graph(PI7)
+        assert graph_from_json(graph_to_json(h)) == h
+
+    def test_edges_and_json_roundtrip_on_random_graphs(self):
+        # induced subgraphs give vertex ids that differ from row positions
+        rng = random.Random(21)
+        for _ in range(200):
+            h = random_looped_graph(rng.randint(0, 12), rng.randrange(1 << 30))
+            h = induced_subgraph(h, [v for v in h.vertices if rng.random() < 0.7])
+            assert looped_graph(h.vertices, h.edges) == h
+            assert graph_from_json(graph_to_json(h)) == h
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_permutations(max_n=40))
+    def test_edges_and_json_roundtrip_on_circle_graphs(self, p):
+        h = permutation_circle_graph(p)
+        assert looped_graph(h.vertices, h.edges) == h
         assert graph_from_json(graph_to_json(h)) == h
 
     def test_json_shape(self):

@@ -12,8 +12,6 @@ from revdcj.graphs import (
 )
 from revdcj.localcomp import (
     LcSequence,
-    apply_lc_sequence,
-    delete_vertex,
     find_full_lc_sequence,
     has_full_lc_sequence,
     is_full_lc_sequence,
@@ -22,10 +20,6 @@ from revdcj.localcomp import (
     lc_strip,
     local_complement,
     ms_set,
-    nullity_preserved_on_delete,
-    rank_drop_check,
-    split_neighborhood,
-    vertex_score,
 )
 from revdcj.perm import SignedPermutation
 from revdcj.sorter import permutation_circle_graph
@@ -45,6 +39,17 @@ def looped_samples(count, max_n=8, seed=0):
         if loops:
             out.append((h, rng.choice(loops)))
     return out
+
+
+def split_neighborhood(h, v):
+    """N^l(v) and N^ul(v): the looped and the unlooped neighbors of v."""
+    hood = h.neighbors(v)
+    return hood & h.looped_vertices(), hood - h.looped_vertices()
+
+
+def score(h, v):
+    looped, unlooped = split_neighborhood(h, v)
+    return len(unlooped) - len(looped)
 
 
 def matrix_entries(h):
@@ -113,7 +118,8 @@ class TestStrip:
 
     def test_rank_drops_by_exactly_one(self):
         for h, v in looped_samples(60, seed=3):
-            assert rank_drop_check(h, v)
+            rank = adjacency_matrix(h).rank()
+            assert adjacency_matrix(lc_strip(h, v)).rank() == rank - 1
 
     def test_running_example_strips_to_edgeless(self):
         h = permutation_circle_graph(PI7)
@@ -129,7 +135,8 @@ class TestContract:
 
     def test_nullity_is_preserved(self):
         for h, v in looped_samples(60, seed=4):
-            assert nullity_preserved_on_delete(h, v)
+            nullity = adjacency_matrix(h).nullity()
+            assert adjacency_matrix(lc_contract(h, v)).nullity() == nullity
 
     def test_matches_schur_complement(self):
         for h, v in looped_samples(30, seed=5):
@@ -137,9 +144,9 @@ class TestContract:
 
     def test_delete_vertex_drops_incident_edges(self):
         h = looped_graph([0, 1, 2], [(0, 1), (1, 2), (1,)])
-        assert delete_vertex(h, 1) == looped_graph([0, 2], [])
+        assert induced_subgraph(h, {0, 2}) == looped_graph([0, 2], [])
         with pytest.raises(ValueError):
-            delete_vertex(h, 9)
+            induced_subgraph(h, {0, 2, 9})
 
 
 class TestContractionLemmas:
@@ -153,17 +160,17 @@ class TestContractionLemmas:
         for h, v in looped_samples(300, max_n=7, seed=6):
             if len(connected_components(h)) != 1:
                 continue
-            split_v = split_neighborhood(h, v)
+            looped_v, unlooped_v = split_neighborhood(h, v)
             contracted = lc_contract(h, v)
             for comp in connected_components(contracted):
                 if any(contracted.has_loop(u) for u in comp):
                     continue
-                meet = comp & split_v.looped
+                meet = comp & looped_v
                 assert meet, (h, v, comp)
                 for w in meet:
-                    split_w = split_neighborhood(h, w)
-                    assert split_v.unlooped <= split_w.unlooped
-                    assert split_w.looped - {v} <= split_v.looped
+                    looped_w, unlooped_w = split_neighborhood(h, w)
+                    assert unlooped_v <= unlooped_w
+                    assert looped_w - {v} <= looped_v
                 checked += 1
         assert checked >= 10
 
@@ -213,8 +220,10 @@ class TestSequences:
     def test_apply_raises_where_is_reports_false(self):
         h = permutation_circle_graph(PI7)
         with pytest.raises(ValueError):
-            apply_lc_sequence(h, LcSequence((3,)))
-        assert not apply_lc_sequence(h, find_full_lc_sequence(h)).has_any_edge()
+            lc_strip(h, 3)
+        for v in find_full_lc_sequence(h).vertices:
+            h = lc_strip(h, v)
+        assert not h.has_any_edge()
 
 
 class TestScoresAndCandidates:
@@ -223,10 +232,9 @@ class TestScoresAndCandidates:
             [0, 1, 2, 3, 4, 5],
             [(0,), (1,), (0, 1), (0, 2), (0, 3), (0, 4), (1, 5)],
         )
-        assert vertex_score(h, 0) == 3 - 1
-        assert vertex_score(h, 1) == 1 - 1
-        split = split_neighborhood(h, 0)
-        assert split.looped == {1} and split.unlooped == {2, 3, 4}
+        assert score(h, 0) == 3 - 1
+        assert score(h, 1) == 1 - 1
+        assert split_neighborhood(h, 0) == ({1}, {2, 3, 4})
 
     def test_adjacent_loops_keep_only_the_higher_score(self):
         h = looped_graph(
@@ -234,6 +242,16 @@ class TestScoresAndCandidates:
             [(0,), (1,), (0, 1), (0, 2), (0, 3), (0, 4), (1, 5)],
         )
         assert ms_set(h) == {0}
+
+    def test_ms_set_matches_the_score_definition(self):
+        for h, _ in looped_samples(200, max_n=10, seed=10):
+            looped = h.looped_vertices()
+            expected = {
+                v
+                for v in looped
+                if all(score(h, w) <= score(h, v) for w in h.neighbors(v) & looped)
+            }
+            assert ms_set(h) == expected
 
     def test_single_looped_vertex_is_the_candidate(self):
         assert ms_set(looped_graph([4], [(4,)])) == {4}
