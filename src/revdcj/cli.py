@@ -33,7 +33,6 @@ from .fourreg import (
     circuits,
     encode_permutation,
     graph_to_dot,
-    pairing_to_json,
     random_euler_system,
     random_four_regular,
     random_supplementary,
@@ -46,9 +45,10 @@ from .graphs import (
     matrix_pretty,
 )
 from .localcomp import has_full_lc_sequence
-from .oracle import brute_dcj_distance, brute_reversal_distance
+from .oracle import DCJ_CAP, REVERSAL_CAP, brute_dcj_distance, brute_reversal_distance
 from .perm import CIRCULAR, Genome, SignedPermutation, parse_genome, parse_permutation
 from .sorter import (
+    POLICIES,
     both_orientation_distance,
     permutation_circle_graph,
     reversal_distance,
@@ -128,14 +128,15 @@ def _fmt(value) -> str:
 
 
 def _resolved_vertices(p: SignedPermutation) -> set[int]:
-    """Vertices whose two junctions are now consecutive in the traversal."""
-    enc = encode_permutation(p)
-    out = set()
-    for v in range(enc.n + 1):
-        ta, tb = enc.breakpoint_positions(v)
-        if tb == ta + 1:
-            out.add(v)
-    return out
+    """Vertices v whose values v and v + 1 already sit side by side.
+
+    With p framed as 0, p, n + 1, a neighbour pair (a, b) with b = a + 1
+    resolves v = a when a >= 0, and v = -b when both are negative (v + 1
+    then v, reversed); these are the vertices whose two junctions are
+    consecutive in the traversal.
+    """
+    q = (0, *p.values, len(p) + 1)
+    return {a if a >= 0 else -b for a, b in zip(q, q[1:]) if b - a == 1}
 
 
 def _connection_phrase(pairs: list[str]) -> str:
@@ -428,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("permutation")
     d.add_argument("--json", action="store_true")
     d.add_argument("--both-orientations", action="store_true")
-    d.add_argument("--policy", choices=("auto", "bound_only", "oracle_only"), default="auto")
-    d.add_argument("--oracle-cap", type=int, default=9)
+    d.add_argument("--policy", choices=POLICIES, default="auto")
+    d.add_argument("--oracle-cap", type=int, default=REVERSAL_CAP)
     d.set_defaults(func=_cmd_distance)
 
     s = sub.add_parser("sort", help="optimal reversal script when one is certified")
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("genome_b")
     j.add_argument("--json", action="store_true")
     j.add_argument("--dot", metavar="PATH")
-    j.add_argument("--oracle-cap", type=int, default=6)
+    j.add_argument("--oracle-cap", type=int, default=DCJ_CAP)
     j.set_defaults(func=_cmd_dcj)
 
     o = sub.add_parser("oracle", help="brute-force distances by state search")
@@ -479,7 +480,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "oracle" and args.oracle_cap is None:
-        args.oracle_cap = 9 if args.kind == "rev" else 6
+        args.oracle_cap = REVERSAL_CAP if args.kind == "rev" else DCJ_CAP
     try:
         return args.func(args)
     except ValueError as exc:

@@ -19,13 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fourreg import (
-    CircuitPartition,
-    FourRegularGraph,
-    circuits,
-    is_euler_system,
-    supplementary,
-)
+from .fourreg import CircuitPartition, FourRegularGraph, is_euler_system, supplementary
 from .graphs import LoopedGraph, adjacency_matrix, gf2_rank
 
 GROUND_CAP = 16
@@ -177,14 +171,13 @@ def from_partitions(
         raise ValueError("graph too large for subset enumeration")
     if not supplementary(p1, p2):
         raise ValueError("partitions are not supplementary")
-    n_components = g.n_components()
     members = set()
     for mask in range(1 << g.n_vertices):
         routes = tuple(
             p2.routes[v] if mask >> v & 1 else p1.routes[v]
             for v in range(g.n_vertices)
         )
-        if len(circuits(g, CircuitPartition(routes))) == n_components:
+        if is_euler_system(g, CircuitPartition(routes)):
             members.add(mask)
     return SetSystem(
         tuple(range(g.n_vertices)),

@@ -7,11 +7,17 @@ matching on all slots.  A circuit partition assigns each vertex a route,
 one of the three perfect matchings on its four slots; following edges and
 routes alternately decomposes the edge set into closed circuits.
 
+A route is an XOR mask: route r in {1, 2, 3} pairs slot s with slot
+``s ^ r`` (1: 0-1 and 2-3, 2: 0-2 and 1-3, 3: 0-3 and 1-2), so the route
+that pairs slots a and b of one vertex is ``a ^ b``, and r is also the
+slot paired with slot 0.
+
 The two encodings at the end turn a signed permutation (circularize with
 an anchor, insert intermediate segments) or a pair of all-circular genomes
 (insert intermediates only) into such a graph together with the circuit
 partition of the source chromosome(s) and the supplementary partition
-whose real-segment circuits spell the target.
+whose real-segment circuits spell the target.  Both lay out slots and
+target routes the same way, from closed junction sequences (``_expand``).
 """
 
 from __future__ import annotations
@@ -24,19 +30,6 @@ from .perm import CIRCULAR, Genome, SignedPermutation
 ANCHOR = "anchor"
 REAL = "real"
 INTERMEDIATE = "intermediate"
-
-# the three routes on slots {0,1,2,3}, keyed by the slot paired with slot 0
-_ROUTE_PAIRS = {
-    1: ((0, 1), (2, 3)),
-    2: ((0, 2), (1, 3)),
-    3: ((0, 3), (1, 2)),
-}
-# _ROUTE_MATE[r][s]: the slot that route r pairs with slot s
-_ROUTE_MATE = {
-    r: tuple(b if s == a else a for s in range(4) for a, b in pairs if s in (a, b))
-    for r, pairs in _ROUTE_PAIRS.items()
-}
-
 
 @dataclass(frozen=True)
 class FourRegularGraph:
@@ -110,7 +103,11 @@ def union_find(n: int, pairs) -> list[int]:
 
 @dataclass(frozen=True)
 class CircuitPartition:
-    """Per-vertex routes, stored as the slot paired with slot 0."""
+    """Per-vertex routes as XOR masks: route r pairs slot s with s ^ r.
+
+    The code of the route pairing slots a and b of a vertex is a ^ b; it is
+    also the slot that the route pairs with slot 0.
+    """
 
     routes: tuple[int, ...]
 
@@ -118,19 +115,6 @@ class CircuitPartition:
         for r in self.routes:
             if r not in (1, 2, 3):
                 raise ValueError("route code must be 1, 2, or 3")
-
-    def pairs_at(self, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return _ROUTE_PAIRS[self.routes[v]]
-
-
-def _route_from_visit_pairs(pairs: list[tuple[int, int]]) -> int:
-    # pairs: two (slot offset, slot offset) pairs covering {0,1,2,3}
-    for a, b in pairs:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-    raise ValueError("route pairs must cover slot 0")
 
 
 @dataclass(frozen=True)
@@ -167,9 +151,8 @@ def _slot_walk(g: FourRegularGraph, p: CircuitPartition):
     if len(p.routes) != g.n_vertices:
         raise ValueError("partition does not match graph")
     partner = g.slot_partner()
-    route_partner = [
-        s - s % 4 + _ROUTE_MATE[p.routes[s // 4]][s % 4] for s in range(g.n_slots)
-    ]
+    routes = p.routes
+    route_partner = [s ^ routes[s >> 2] for s in range(g.n_slots)]
     visited = [False] * g.n_slots
     for start in range(g.n_slots):
         if visited[start]:
@@ -253,6 +236,32 @@ def target_circuit_count(g: FourRegularGraph, pb: CircuitPartition) -> int:
     )
 
 
+def _expand(cycles, n_vertices: int):
+    """Edges and target (pb) routes for closed junction sequences.
+
+    Each cycle lists the vertex at the junction after each of its
+    segments; even segments are real (or the anchor), odd ones
+    intermediate.  A junction's incoming slot is 4v on v's first visit and
+    4v + 2 on its second, and its outgoing slot is the next one up, so
+    segment t joins the outgoing slot of junction t - 1 to the incoming
+    slot of junction t.  pb pairs the two real ends at every vertex: the
+    incoming slot after a real segment, the outgoing slot after an
+    intermediate one.
+    """
+    second = [False] * n_vertices
+    pb_routes = [0] * n_vertices
+    edges = []
+    for cycle in cycles:
+        base = []
+        for t, v in enumerate(cycle):
+            slot = 4 * v + 2 * second[v]
+            second[v] = True
+            base.append(slot)
+            pb_routes[v] ^= slot + (t & 1)
+        edges += ((base[t - 1] + 1, base[t]) for t in range(len(cycle)))
+    return tuple(edges), CircuitPartition(tuple(pb_routes))
+
+
 def encode_permutation(p: SignedPermutation) -> PermEncoding:
     """Build the 4-regular multigraph of a signed permutation.
 
@@ -265,13 +274,10 @@ def encode_permutation(p: SignedPermutation) -> PermEncoding:
     merge into one vertex of degree 4.
     """
     n = len(p)
-    m = 2 * (n + 1)
-    values = p.values
-
     edge_labels = ["$"]
     edge_kinds = [ANCHOR]
     junction = [0]
-    for i, k in enumerate(values, start=1):
+    for i, k in enumerate(p.values, start=1):
         edge_labels += ("I%d" % i, str(abs(k)))
         edge_kinds += (INTERMEDIATE, REAL)
         # tail side of real segment i, then its head side
@@ -280,56 +286,25 @@ def encode_permutation(p: SignedPermutation) -> PermEncoding:
     edge_kinds.append(INTERMEDIATE)
     junction.append(n)
 
-    # first and second junction position of each vertex label
-    first = [-1] * (n + 1)
-    second = [-1] * (n + 1)
-    for t, lab in enumerate(junction):
-        if first[lab] < 0:
-            first[lab] = t
-        else:
-            second[lab] = t
-
-    # incoming slot at each junction; the outgoing one is next to it
-    base = [4 * lab + 2 * (second[lab] == t) for t, lab in enumerate(junction)]
-    # segment t runs from the junction before it to the junction after it
-    edges = [(base[t - 1] + 1, base[t]) for t in range(m)]
-
-    pb_routes = []
-    for ta, tb in zip(first, second):
-        real_a = 0 if ta % 2 == 0 else 1  # incoming edge is real at even junctions
-        real_b = 2 if tb % 2 == 0 else 3
-        if real_a == 0:
-            pb_routes.append(real_b)
-        else:
-            pb_routes.append(5 - real_b)  # slot 0 pairs with the other intermediate
-
+    edges, pb = _expand([junction], n + 1)
     graph = FourRegularGraph(
         n_vertices=n + 1,
-        edges=tuple(edges),
+        edges=edges,
         edge_labels=tuple(edge_labels),
         vertex_labels=tuple("v%d" % v for v in range(n + 1)),
         edge_kinds=tuple(edge_kinds),
     )
     pa = CircuitPartition((1,) * (n + 1))
-    pb = CircuitPartition(tuple(pb_routes))
     return PermEncoding(graph, pa, pb, n, tuple(junction))
 
 
-def _extremity(marker: str, head: bool) -> tuple[str, str]:
-    return (marker, "head" if head else "tail")
-
-
-def _chromosome_adjacencies(markers) -> list[frozenset]:
-    # consecutive (right end, next left end) pairs around a circular chromosome
-    out = []
-    k = len(markers)
-    for i in range(k):
-        name, sign = markers[i]
-        nxt_name, nxt_sign = markers[(i + 1) % k]
-        right = _extremity(name, sign > 0)
-        left = _extremity(nxt_name, nxt_sign < 0)
-        out.append(frozenset({right, left}))
-    return out
+def _junctions(markers):
+    """The extremity pairs that meet around a circular chromosome: the
+    right end of each marker with the left end of the next."""
+    for (name, sign), (nxt, nxt_sign) in zip(markers, markers[1:] + markers[:1]):
+        right = (name, "head" if sign > 0 else "tail")
+        left = (nxt, "tail" if nxt_sign > 0 else "head")
+        yield right, left
 
 
 def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
@@ -349,90 +324,31 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
         raise ValueError("marker sets differ")
 
     vertices = sorted(
-        {adj for chrom in gb.chromosomes for adj in _chromosome_adjacencies(chrom.markers)},
-        key=lambda adj: tuple(sorted(adj)),
+        {tuple(sorted(adj)) for c in gb.chromosomes for adj in _junctions(c.markers)}
     )
-    vertex_of_ext = {}
-    for i, adj in enumerate(vertices):
-        for ext in adj:
-            vertex_of_ext[ext] = i
+    vertex_of = {ext: v for v, adj in enumerate(vertices) for ext in adj}
 
-    n_vertices = len(vertices)
-    visits: dict[int, int] = {v: 0 for v in range(n_vertices)}
-    edges = []
+    # junction after marker i, then after the intermediate that follows it
+    cycles = [
+        [vertex_of[ext] for adj in _junctions(chrom.markers) for ext in adj]
+        for chrom in ga.chromosomes
+    ]
+    edges, pb = _expand(cycles, len(vertices))
+
     edge_labels = []
-    edge_kinds = []
-    pb_real_slots: dict[int, list[int]] = {v: [] for v in range(n_vertices)}
-    intermediate_id = 0
-
     for chrom in ga.chromosomes:
-        k = len(chrom.markers)
-        # junction j sits after marker j; junctions alternate marker end,
-        # intermediate end around the chromosome
-        junction_vertex = []
-        for i in range(k):
-            name, sign = chrom.markers[i]
-            right = _extremity(name, sign > 0)
-            junction_vertex.append(vertex_of_ext[right])
-        pre_vertex = []
-        for i in range(k):
-            name, sign = chrom.markers[i]
-            left = _extremity(name, sign < 0)
-            pre_vertex.append(vertex_of_ext[left])
-
-        # slots in traversal order: marker i runs pre_vertex[i] -> junction_vertex[i],
-        # intermediate i runs junction_vertex[i] -> pre_vertex[i+1]
-        incoming_slot = {}
-        outgoing_slot = {}
-        for i in range(k):
-            for vertex, key, is_marker_end in (
-                (junction_vertex[i], ("after", i), True),
-                (pre_vertex[(i + 1) % k], ("before", (i + 1) % k), False),
-            ):
-                base = 4 * vertex + 2 * (visits[vertex] > 0)
-                visits[vertex] += 1
-                incoming_slot[key] = base
-                outgoing_slot[key] = base + 1
-                if is_marker_end:
-                    pb_real_slots[vertex].append(base)  # marker end arrives here
-                else:
-                    pb_real_slots[vertex].append(base + 1)  # marker end departs here
-
-        for i in range(k):
-            name, _ = chrom.markers[i]
-            edges.append((outgoing_slot[("before", i)], incoming_slot[("after", i)]))
-            edge_labels.append(name)
-            edge_kinds.append(REAL)
-            edges.append(
-                (outgoing_slot[("after", i)], incoming_slot[("before", (i + 1) % k)])
-            )
-            intermediate_id += 1
-            edge_labels.append("I%d" % intermediate_id)
-            edge_kinds.append(INTERMEDIATE)
-
-    pb_routes = []
-    for v in range(n_vertices):
-        real = sorted(s - 4 * v for s in pb_real_slots[v])
-        if len(real) != 2:
-            raise ValueError("vertex %d did not receive two marker ends" % v)
-        if 0 in real:
-            pb_routes.append(real[0] + real[1])
-        else:
-            other = sorted({0, 1, 2, 3} - set(real))
-            pb_routes.append(other[1])
-
-    labels = tuple(
-        ",".join("%s.%s" % (m, side[0]) for m, side in sorted(adj)) for adj in vertices
-    )
+        for name, _ in chrom.markers:
+            edge_labels += (name, "I%d" % (len(edge_labels) // 2 + 1))
     graph = FourRegularGraph(
-        n_vertices=n_vertices,
-        edges=tuple(edges),
+        n_vertices=len(vertices),
+        edges=edges,
         edge_labels=tuple(edge_labels),
-        vertex_labels=labels,
-        edge_kinds=tuple(edge_kinds),
+        vertex_labels=tuple(
+            ",".join("%s.%s" % (m, side[0]) for m, side in adj) for adj in vertices
+        ),
+        edge_kinds=(REAL, INTERMEDIATE) * (len(edges) // 2),
     )
-    pa = CircuitPartition((1,) * n_vertices)
-    pb = CircuitPartition(tuple(pb_routes))
+    pa = CircuitPartition((1,) * len(vertices))
     return PermEncoding(graph, pa, pb, len(ga.marker_names()))
 
 
@@ -456,7 +372,7 @@ def random_euler_system(g: FourRegularGraph, seed: int) -> CircuitPartition:
     rng = random.Random(seed)
     partner = g.slot_partner()
     avail = [set(range(4 * v, 4 * v + 4)) for v in range(g.n_vertices)]
-    assigned: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+    routes = [0] * g.n_vertices
 
     def subtour(v: int) -> list[tuple[int, int]]:
         path = []
@@ -483,14 +399,13 @@ def random_euler_system(g: FourRegularGraph, seed: int) -> CircuitPartition:
                 tour[i + 1 : i + 1] = subtour(at)
             else:
                 i += 1
-        # route pairs: each arrival is followed by the next departure
+        # each arrival is paired with the next departure; a vertex's two
+        # visits pair its four slots, and either pair gives the route
         for i in range(len(tour)):
             arr = tour[i][1]
-            dep = tour[(i + 1) % len(tour)][0]
-            assigned[arr // 4].append((arr % 4, dep % 4))
+            routes[arr >> 2] = arr ^ tour[(i + 1) % len(tour)][0]
 
-    routes = tuple(_route_from_visit_pairs(assigned[v]) for v in range(g.n_vertices))
-    p = CircuitPartition(routes)
+    p = CircuitPartition(tuple(routes))
     if not is_euler_system(g, p):
         raise AssertionError("generated partition is not an Euler system")
     return p

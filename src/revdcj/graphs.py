@@ -29,7 +29,6 @@ from .fourreg import (  # noqa: F401  circuits stays importable from this module
     FourRegularGraph,
     circuits,
     supplementary,
-    _ROUTE_MATE,
     _slot_walk,
 )
 
@@ -242,7 +241,7 @@ def circle_graph(
             if v in first:
                 arrive_a, prefix_a = first.pop(v)
                 rows[v] = prefix ^ prefix_a
-                if _ROUTE_MATE[p2.routes[v]][arrive_a % 4] == arrive % 4:
+                if arrive_a ^ arrive == p2.routes[v]:
                     rows[v] |= 1 << v
             else:
                 first[v] = (arrive, prefix ^ (1 << v))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .fourreg import encode_permutation, target_circuit_count
 from .graphs import adjacency_matrix, circle_graph
 from .localcomp import has_full_lc_sequence, lc_strip, ms_set
+from .oracle import REVERSAL_CAP
 from .perm import ReversalInterval, SignedPermutation, apply_reversal, is_identity
 from .perm import reverse_complement
 
@@ -149,7 +150,7 @@ POLICIES = ("auto", "bound_only", "oracle_only")
 
 
 def reversal_distance(
-    p: SignedPermutation, policy: str = "auto", oracle_cap: int = 9
+    p: SignedPermutation, policy: str = "auto", oracle_cap: int = REVERSAL_CAP
 ) -> DistanceReport:
     """Distance report under the given policy.
 
@@ -210,7 +211,7 @@ class OrientationPair:
 
 
 def both_orientation_distance(
-    p: SignedPermutation, policy: str = "auto", oracle_cap: int = 9
+    p: SignedPermutation, policy: str = "auto", oracle_cap: int = REVERSAL_CAP
 ) -> OrientationPair:
     """Distances for p and its reverse complement; they differ by at most 1."""
     forward = reversal_distance(p, policy=policy, oracle_cap=oracle_cap)

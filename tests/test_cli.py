@@ -7,6 +7,7 @@ import pytest
 
 from revdcj import cli
 from revdcj.dm import from_graph, set_system_from_json
+from revdcj.fourreg import encode_permutation
 from revdcj.graphs import graph_from_json
 from revdcj.perm import (
     SignedPermutation,
@@ -151,6 +152,22 @@ class TestSortCommand:
             p = apply_reversal(p, ReversalInterval(a, b))
             assert p == permutation_from_json(step["result"])
         assert p == SignedPermutation((1, 2, 3, 4, 5, 6, 7))
+
+
+    def test_captions_match_the_junction_positions(self, small_sweep):
+        # reference: v is resolved when its two junction positions are adjacent
+        def by_junctions(p):
+            enc = encode_permutation(p)
+            out = set()
+            for v in range(len(p) + 1):
+                ta, tb = enc.breakpoint_positions(v)
+                if tb == ta + 1:
+                    out.add(v)
+            return out
+
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                assert cli._resolved_vertices(row.perm) == by_junctions(row.perm), row.perm
 
 
 class TestNegativeLeadingPermutations:

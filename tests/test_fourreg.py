@@ -75,6 +75,15 @@ class TestSmallestGraphs:
         assert len(circuits(g, CircuitPartition((2,)))) == 1
         assert len(circuits(g, CircuitPartition((3,)))) == 1
 
+    def test_route_pairs_each_slot_with_its_xor(self):
+        # two loops (a, b) at one vertex stay two circuits only under the
+        # route that follows them, the one pairing a with a ^ r == b
+        for loops in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+            g = FourRegularGraph(1, loops)
+            for r in (1, 2, 3):
+                split = all(a ^ r == b for a, b in loops)
+                assert len(circuits(g, CircuitPartition((r,)))) == (2 if split else 1)
+
     def test_circuit_canonical_under_rotation_and_reflection(self):
         from revdcj.fourreg import Circuit
 
@@ -151,6 +160,43 @@ class TestEncodePermutation:
         assert enc.breakpoint_positions(1) == (2, 10)
         with pytest.raises(ValueError):
             enc.breakpoint_positions(9)
+
+
+class TestExactLayout:
+    """Slot numbers, labels, kinds and routes of both encoders, pinned."""
+
+    def test_permutation_encoding(self):
+        enc = encode_permutation(PI7)
+        g = enc.graph
+        assert g.edges == (
+            (31, 0), (1, 2), (3, 4), (5, 24), (25, 20), (21, 26), (27, 28), (29, 12),
+            (13, 16), (17, 8), (9, 6), (7, 22), (23, 18), (19, 10), (11, 14), (15, 30),
+        )
+        assert enc.pa.routes == (1,) * 8
+        assert enc.pb.routes == (3, 2, 2, 3, 2, 3, 2, 3)
+        assert g.edge_labels == (
+            "$", "I1", "1", "I2", "6", "I3", "7", "I4",
+            "4", "I5", "2", "I6", "5", "I7", "3", "I8",
+        )
+        assert g.edge_kinds == (ANCHOR,) + (INTERMEDIATE, REAL) * 7 + (INTERMEDIATE,)
+        assert g.vertex_labels == tuple("v%d" % v for v in range(8))
+        assert enc.junction_sequence == (0, 0, 1, 6, 5, 6, 7, 3, 4, 2, 1, 5, 4, 2, 3, 7)
+
+    def test_circular_genome_encoding(self):
+        enc = encode_circular_genomes(
+            parse_genome("C: a -b c\nC: d e"), parse_genome("C: a c e\nC: b -d")
+        )
+        g = enc.graph
+        assert g.edges == (
+            (5, 0), (1, 8), (9, 12), (13, 2), (3, 16),
+            (17, 4), (15, 10), (11, 18), (19, 6), (7, 14),
+        )
+        assert enc.pa.routes == (1,) * 5
+        assert enc.pb.routes == (3,) * 5
+        assert g.edge_labels == ("a", "I1", "b", "I2", "c", "I3", "d", "I4", "e", "I5")
+        assert g.edge_kinds == (REAL, INTERMEDIATE) * 5
+        assert g.vertex_labels == ("a.h,c.t", "a.t,e.h", "b.h,d.h", "b.t,d.t", "c.h,e.t")
+        assert enc.n == 5 and enc.junction_sequence == ()
 
 
 class TestEulerAndSupplementary:
