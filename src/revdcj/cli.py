@@ -6,7 +6,9 @@ the set-system view, dcj for genome pairs, oracle for the brute-force
 referees.  Data goes to stdout, errors to stderr; exit status is 0 on
 success, 1 on a domain error (bad permutation, oversize oracle call), 2
 on usage errors, and 3 on an internal error (a failed cross-check or
-invariant), which prints an ``internal error: ...`` line.
+invariant), which prints an ``internal error: ...`` line.  ``--verify``
+on distance and sort also runs the super-linear cross-checks (see
+``revdcj.verify``); the output is the same with and without it.
 
 Permutation and genome arguments are taken literally, or read from a file
 when the argument names one; inline genomes may separate chromosomes with
@@ -54,6 +56,7 @@ from .sorter import (
     reversal_distance,
     sort_by_reversals,
 )
+from .verify import verifying
 
 _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
 
@@ -417,6 +420,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+_VERIFY_HELP = "also run the super-linear cross-checks (per-step rebuild, validation)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="revdcj",
@@ -431,11 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--both-orientations", action="store_true")
     d.add_argument("--policy", choices=POLICIES, default="auto")
     d.add_argument("--oracle-cap", type=int, default=REVERSAL_CAP)
+    d.add_argument("--verify", action="store_true", help=_VERIFY_HELP)
     d.set_defaults(func=_cmd_distance)
 
     s = sub.add_parser("sort", help="optimal reversal script when one is certified")
     s.add_argument("permutation")
     s.add_argument("--json", action="store_true")
+    s.add_argument("--verify", action="store_true", help=_VERIFY_HELP)
     s.set_defaults(func=_cmd_sort)
 
     c = sub.add_parser("circle-graph", help="interleavement graph and its matrix")
@@ -482,6 +490,9 @@ def main(argv=None) -> int:
     if args.command == "oracle" and args.oracle_cap is None:
         args.oracle_cap = REVERSAL_CAP if args.kind == "rev" else DCJ_CAP
     try:
+        if getattr(args, "verify", False):
+            with verifying():
+                return args.func(args)
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .perm import CIRCULAR, Genome, SignedPermutation
 
@@ -67,11 +68,16 @@ class FourRegularGraph:
     def n_slots(self) -> int:
         return 4 * self.n_vertices
 
-    def slot_partner(self) -> list[int]:
+    def slot_partner(self) -> tuple[int, ...]:
+        """The slot each slot is matched to; computed once per graph."""
+        return self._slot_partner
+
+    @cached_property
+    def _slot_partner(self) -> tuple[int, ...]:
         partner = [0] * self.n_slots
         for a, b in self.edges:
             partner[a], partner[b] = b, a
-        return partner
+        return tuple(partner)
 
     def edge_of_slot(self) -> list[int]:
         owner = [0] * self.n_slots
@@ -80,6 +86,11 @@ class FourRegularGraph:
         return owner
 
     def n_components(self) -> int:
+        """Connected components; counted once per graph."""
+        return self._n_components
+
+    @cached_property
+    def _n_components(self) -> int:
         roots = union_find(self.n_vertices, ((a // 4, b // 4) for a, b in self.edges))
         return len(set(roots))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import verify
 from .fourreg import (  # noqa: F401  circuits stays importable from this module
     CircuitPartition,
     FourRegularGraph,
@@ -75,6 +76,20 @@ class LoopedGraph:
                 above ^= low
         if upper != lower:
             raise ValueError("rows are not symmetric")
+
+    @classmethod
+    def _trusted(
+        cls, vertices: tuple[int, ...], rows: tuple[int, ...]
+    ) -> LoopedGraph:
+        """Rows the library built itself (a circle graph, or a local
+        complement of valid rows); they are validated, in O(n + |E|), only
+        while the verify switch is on."""
+        if verify.enabled():
+            return cls(vertices, rows)
+        h = object.__new__(cls)
+        object.__setattr__(h, "vertices", vertices)
+        object.__setattr__(h, "rows", rows)
+        return h
 
     @cached_property
     def edges(self) -> frozenset[frozenset[int]]:
@@ -249,7 +264,7 @@ def circle_graph(
         if first:
             # a vertex left for another circuit of its component
             raise ValueError("p1 is not an Euler system")
-    return LoopedGraph(tuple(range(g.n_vertices)), tuple(rows))
+    return LoopedGraph._trusted(tuple(range(g.n_vertices)), tuple(rows))
 
 
 def looped_graph_to_dot(h: LoopedGraph, labels=None) -> str:

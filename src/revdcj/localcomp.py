@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import verify
 from .graphs import LoopedGraph, _bits, adjacency_matrix, component_masks
 
 
@@ -35,7 +36,7 @@ def local_complement(h: LoopedGraph, v: int) -> LoopedGraph:
     rows = list(h.rows)
     for j in _bits(hood):
         rows[j] ^= hood
-    return LoopedGraph(h.vertices, tuple(rows))
+    return LoopedGraph._trusted(h.vertices, tuple(rows))
 
 
 def lc_strip(h: LoopedGraph, v: int) -> LoopedGraph:
@@ -45,7 +46,7 @@ def lc_strip(h: LoopedGraph, v: int) -> LoopedGraph:
     for j in _bits(row ^ (1 << i)):
         rows[j] ^= row
     rows[i] = 0
-    return LoopedGraph(h.vertices, tuple(rows))
+    return LoopedGraph._trusted(h.vertices, tuple(rows))
 
 
 def lc_contract(h: LoopedGraph, v: int) -> LoopedGraph:
@@ -53,7 +54,7 @@ def lc_contract(h: LoopedGraph, v: int) -> LoopedGraph:
     stripped = lc_strip(h, v)
     i = h.vertices.index(v)
     low = (1 << i) - 1
-    return LoopedGraph(
+    return LoopedGraph._trusted(
         h.vertices[:i] + h.vertices[i + 1 :],
         tuple(
             row & low | row >> (i + 1) << i
@@ -121,25 +122,32 @@ def has_full_lc_sequence(h: LoopedGraph) -> bool:
     )
 
 
-def find_full_lc_sequence(h: LoopedGraph) -> LcSequence | None:
-    """Greedy full lc-sequence, or None when none exists.
+def greedy_strips(h: LoopedGraph):
+    """The greedy lc-sequence as it goes: yield (v, graph after the strip).
 
     At each step the lowest-id vertex among the minimal-score candidates
-    is stripped; the length of the result equals the GF(2) rank of the
-    adjacency matrix.
+    (``ms_set``) is stripped, until no edge or loop is left.  Callers check
+    ``has_full_lc_sequence`` first; the sorter reads one reversal off each
+    pick.
     """
-    if not has_full_lc_sequence(h):
-        return None
-    cur = h
-    picks = []
-    while cur.has_any_edge():
-        candidates = ms_set(cur)
+    while h.has_any_edge():
+        candidates = ms_set(h)
         if not candidates:
             raise AssertionError("sortable graph with edges but no candidates")
         v = min(candidates)
-        picks.append(v)
-        cur = lc_strip(cur, v)
-    seq = LcSequence(tuple(picks))
-    if len(seq) != adjacency_matrix(h).rank():
+        h = lc_strip(h, v)
+        yield v, h
+
+
+def find_full_lc_sequence(h: LoopedGraph) -> LcSequence | None:
+    """Greedy full lc-sequence, or None when none exists.
+
+    Its length equals the GF(2) rank of the adjacency matrix, which is
+    checked while the verify switch is on.
+    """
+    if not has_full_lc_sequence(h):
+        return None
+    seq = LcSequence(tuple(v for v, _ in greedy_strips(h)))
+    if verify.enabled() and len(seq) != adjacency_matrix(h).rank():
         raise AssertionError("greedy sequence length differs from matrix rank")
     return seq

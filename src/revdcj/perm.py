@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import verify
+
 LINEAR = "linear"
 CIRCULAR = "circular"
 
@@ -33,6 +35,16 @@ class SignedPermutation:
         n = len(self.values)
         if seen and max(seen) != n:
             raise ValueError("absolute values must cover 1..%d with no gap" % n)
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> SignedPermutation:
+        """A permutation the library built itself from a valid one; it is
+        validated only while the verify switch is on."""
+        if verify.enabled():
+            return cls(values)
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        return p
 
     @property
     def n(self) -> int:
@@ -78,7 +90,7 @@ def apply_reversal(p: SignedPermutation, r: ReversalInterval) -> SignedPermutati
     v = p.values
     i, j = r.start - 1, r.end
     block = tuple(-x for x in reversed(v[i:j]))
-    return SignedPermutation(v[:i] + block + v[j:])
+    return SignedPermutation._trusted(v[:i] + block + v[j:])
 
 
 def reverse_complement(p: SignedPermutation) -> SignedPermutation:

@@ -3,19 +3,29 @@
 The lower bound n + 1 - c (c counts the circuits of the target partition)
 always equals the GF(2) rank of the circle graph's adjacency matrix.  When
 the circle graph admits a full lc-sequence, that rank is the exact
-reversal distance and the greedy sorter emits a script of that length: at
-each step it picks a minimal-score oriented vertex, applies the reversal
-that vertex stands for, and checks that the circle graph recomputed from
-the new permutation matches a strip of the previous one.
+reversal distance and the greedy sorter emits a script of that length.  It
+encodes the permutation and builds its circle graph once, then follows
+the greedy lc-sequence (``localcomp.greedy_strips``): each stripped vertex
+stands for one reversal, read off the current permutation through a
+value -> position array that is updated over each reversed block.
+
+Under the verify switch (``revdcj.verify``) the sorter also rebuilds the
+circle graph from each new permutation and checks that it equals the strip
+the greedy loop took.  That costs a circle graph per step, so it stays off
+the default path; the O(n) replay of every script step always runs.
+``reversal_distance`` checks the GF(2) rank against n + 1 - c on every
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import verify
 from .fourreg import encode_permutation, target_circuit_count
 from .graphs import adjacency_matrix, circle_graph
-from .localcomp import has_full_lc_sequence, lc_strip, ms_set
+from .localcomp import greedy_strips, has_full_lc_sequence
+from .localcomp import lc_strip, ms_set  # noqa: F401  bench/spans.py wraps these names
 from .oracle import REVERSAL_CAP
 from .perm import ReversalInterval, SignedPermutation, apply_reversal, is_identity
 from .perm import reverse_complement
@@ -41,22 +51,39 @@ def permutation_circle_graph(p: SignedPermutation):
     return circle_graph(enc.graph, enc.pa, enc.pb)
 
 
-def reversal_for_vertex(p: SignedPermutation, v: int, enc=None) -> ReversalInterval:
+def _positions(p: SignedPermutation) -> list[int]:
+    """pos[k] is the 1-based position of +k or -k in p; pos[0] is unused."""
+    pos = [0] * (len(p) + 1)
+    for i, x in enumerate(p.values, start=1):
+        pos[abs(x)] = i
+    return pos
+
+
+def reversal_for_vertex(p: SignedPermutation, v: int, pos=None) -> ReversalInterval:
     """The reversal that brings the segment ends at vertex v together.
 
     v must name an oriented vertex, i.e. one carrying a loop in the circle
     graph; that holds exactly when its two junction positions have the
     same parity, so they sit at least two traversal steps apart and the
-    enclosed positions form the interval to reverse.  enc, when given, is
-    encode_permutation(p), saving the caller a second encoding.
+    enclosed positions form the interval to reverse.
+
+    The junction positions are read off the framed permutation: v meets
+    at 0 for v = 0, at 2i for +v at position i and at 2i - 1 for -v; v + 1
+    meets at 2n + 1 for v = n, at 2i - 1 for +(v + 1) and at 2i for
+    -(v + 1).  pos, when given, is ``_positions(p)``, saving the caller
+    an O(n) scan.
     """
-    if enc is None:
-        enc = encode_permutation(p)
-    if not 0 <= v <= enc.n:
+    n = len(p)
+    if not 0 <= v <= n:
         raise ValueError("unknown vertex %r" % (v,))
-    ta, tb = enc.breakpoint_positions(v)
+    if pos is None:
+        pos = _positions(p)
+    values = p.values
+    ta = 0 if v == 0 else 2 * pos[v] - (values[pos[v] - 1] < 0)
+    tb = 2 * n + 1 if v == n else 2 * pos[v + 1] - (values[pos[v + 1] - 1] > 0)
     if (tb - ta) % 2:
         raise ValueError("vertex %r is not oriented" % (v,))
+    ta, tb = min(ta, tb), max(ta, tb)
     return ReversalInterval(ta // 2 + 1, tb // 2)
 
 
@@ -97,28 +124,32 @@ class ReversalScript:
 def sort_by_reversals(p: SignedPermutation) -> ReversalScript | None:
     """Greedy optimal script, or None when the criterion fails.
 
-    Each step recomputes the circle graph from the new permutation and
-    insists it equals the stripped previous graph; a mismatch means the
-    step law broke, so it raises rather than returning a bad script.
+    One encoding and one circle graph per call; each step of the greedy
+    lc-sequence gives one reversal.  Under the verify switch each step
+    also recomputes the circle graph from the new permutation and insists
+    it equals the stripped previous graph; a mismatch means the step law
+    broke, so it raises rather than returning a bad script.
     """
     enc = encode_permutation(p)
     h = circle_graph(enc.graph, enc.pa, enc.pb)
     if not has_full_lc_sequence(h):
         return None
+    checking = verify.enabled()
+    pos = _positions(p)
     steps = []
     cur = p
-    while h.has_any_edge():
-        v = min(ms_set(h))
-        interval = reversal_for_vertex(cur, v, enc)
-        nxt = apply_reversal(cur, interval)
-        enc = encode_permutation(nxt)
-        recomputed = circle_graph(enc.graph, enc.pa, enc.pb)
-        if recomputed != lc_strip(h, v):
-            raise AssertionError(
-                "circle graph after %s is not the strip at v%d" % (interval, v)
-            )
-        steps.append((interval, nxt))
-        cur, h = nxt, recomputed
+    for v, stripped in greedy_strips(h):
+        interval = reversal_for_vertex(cur, v, pos)
+        cur = apply_reversal(cur, interval)
+        for i in range(interval.start, interval.end + 1):
+            pos[abs(cur.values[i - 1])] = i
+        if checking:
+            enc = encode_permutation(cur)
+            if circle_graph(enc.graph, enc.pa, enc.pb) != stripped:
+                raise AssertionError(
+                    "circle graph after %s is not the strip at v%d" % (interval, v)
+                )
+        steps.append((interval, cur))
     if not is_identity(cur):
         raise AssertionError("edge-free circle graph on a non-identity permutation")
     return ReversalScript(p, tuple(steps))
@@ -162,9 +193,8 @@ def reversal_distance(
         raise ValueError("unknown policy %r" % (policy,))
     enc = encode_permutation(p)
     h = circle_graph(enc.graph, enc.pa, enc.pb)
-    rank = adjacency_matrix(h).rank()
     lb = len(p) + 1 - target_circuit_count(enc.graph, enc.pb)
-    if rank != lb:
+    if adjacency_matrix(h).rank() != lb:
         raise AssertionError("matrix rank disagrees with n + 1 - c")
 
     if policy == "bound_only":

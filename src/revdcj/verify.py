@@ -1,0 +1,36 @@
+"""The one switch for the cross-checks that cost more than linear time.
+
+Off by default.  While it is on, these run as well:
+
+- the sorter's per-step rebuild of the circle graph from the new
+  permutation, compared with the strip the greedy loop took;
+- the rank check on the length of ``localcomp.find_full_lc_sequence``;
+- the full validation of the rows and permutations that the library
+  builds itself (``LoopedGraph._trusted``, ``SignedPermutation._trusted``).
+
+The test suite runs with it on; the CLI turns it on with ``--verify``.
+The ``rank == n + 1 - c`` check in ``sorter.reversal_distance`` runs
+with the switch on or off.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+_on = False
+
+
+def enabled() -> bool:
+    """True while the super-linear cross-checks run."""
+    return _on
+
+
+@contextmanager
+def verifying(on: bool = True):
+    """Set the switch for the duration of the block, then restore it."""
+    global _on
+    saved, _on = _on, on
+    try:
+        yield
+    finally:
+        _on = saved

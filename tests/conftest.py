@@ -1,7 +1,8 @@
-"""Shared fixtures: the exhaustive small-permutation sweep, random
-generators, and the route-switching reference circle graph used across the
-suite, plus a terminal summary that prints one pass/fail line per
-acceptance criterion."""
+"""Shared fixtures: the verify switch, on for the whole session, the
+exhaustive small-permutation sweep, random generators, and the
+route-switching reference circle graph used across the suite, plus a
+terminal summary that prints one pass/fail line per acceptance
+criterion."""
 
 import random
 import re
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
+from revdcj import localcomp
 from revdcj.dcj import AdjacencySet, Extremity, HEAD, TAIL, genome_from_adjacency_set
 from revdcj.fourreg import (
     CircuitPartition,
@@ -28,8 +30,17 @@ from revdcj.localcomp import has_full_lc_sequence
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
 from revdcj.perm import Genome, SignedPermutation
 from revdcj.sorter import circuit_count, permutation_circle_graph, sort_by_reversals
+from revdcj.verify import verifying
 
 SWEEP_MAX_N = 5
+
+
+@pytest.fixture(scope="session", autouse=True)
+def verify_switch():
+    """Every test, and every session fixture built after this one, runs
+    the super-linear cross-checks (see ``revdcj.verify``)."""
+    with verifying():
+        yield
 
 
 def _interleaved(occ_u: tuple[int, int], occ_w: tuple[int, int]) -> bool:
@@ -138,6 +149,24 @@ def signed_permutations(max_n: int):
         )
         .map(lambda t: SignedPermutation(tuple(v * s for v, s in zip(*t))))
     )
+
+
+def sabotage_lc_strip(monkeypatch):
+    """Make every strip drop one edge of its result, if it has one."""
+    real_strip = localcomp.lc_strip
+
+    def strip_dropping_an_edge(h, v):
+        rows = list(real_strip(h, v).rows)
+        for i, row in enumerate(rows):
+            others = row & ~(1 << i)
+            if others:
+                j = (others & -others).bit_length() - 1
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+                break
+        return LoopedGraph(h.vertices, tuple(rows))
+
+    monkeypatch.setattr(localcomp, "lc_strip", strip_dropping_an_edge)
 
 
 def random_looped_graph(n: int, seed: int, edge_p: float = 0.4, loop_p: float = 0.5):

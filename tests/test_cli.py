@@ -16,6 +16,9 @@ from revdcj.perm import (
     permutation_from_json,
 )
 from revdcj.sorter import circuit_count, permutation_circle_graph
+from revdcj.verify import enabled, verifying
+
+from conftest import sabotage_lc_strip
 
 PI7_ARG = "1,-6,7,4,-2,-5,3"
 
@@ -358,6 +361,31 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "dcj", "L: 1")
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestVerifyFlag:
+    def test_same_stdout_with_and_without_verify(self, capsys):
+        rng = random.Random(5)
+        argvs = [["distance", PI7_ARG], ["sort", PI7_ARG], ["sort", "2,1"]]
+        for _ in range(12):
+            values = list(range(1, rng.randint(2, 25)))
+            rng.shuffle(values)
+            arg = ",".join(str(v if rng.random() < 0.5 else -v) for v in values)
+            argvs.append(["sort", arg, "--json"][: rng.randint(2, 3)])
+            argvs.append(["distance", arg, "--oracle-cap", "0", "--both-orientations"])
+        for argv in argvs:
+            with verifying(False):
+                plain = run(capsys, *argv)
+            assert run(capsys, *argv, "--verify") == plain, argv
+            assert plain[0] == 0
+
+    def test_verify_runs_the_checks_for_one_call(self, capsys, monkeypatch):
+        sabotage_lc_strip(monkeypatch)
+        with verifying(False):
+            code, out, err = run(capsys, "sort", PI7_ARG, "--verify")
+            assert (code, out) == (3, "")
+            assert err.startswith("internal error: circle graph after [2, 5]")
+            assert not enabled()
 
 
 class TestExitCodes:

@@ -1,8 +1,14 @@
 """The reversal-distance pipeline: bounds, scripts, and reports."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revdcj import graphs, sorter
+from revdcj.fourreg import encode_permutation
+from revdcj.graphs import LoopedGraph
 from revdcj.localcomp import has_full_lc_sequence, lc_strip, ms_set
 from revdcj.perm import ReversalInterval, SignedPermutation, apply_reversal, identity
 from revdcj.sorter import (
@@ -17,10 +23,31 @@ from revdcj.sorter import (
     reversal_for_vertex,
     sort_by_reversals,
 )
+from revdcj.verify import enabled, verifying
 
-from conftest import signed_permutations
+from conftest import sabotage_lc_strip, signed_permutations
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
+
+
+def interval_via_junctions(enc, v):
+    """Reference for reversal_for_vertex: the interval between v's two
+    positions in the junction sequence, or None when they differ in
+    parity (v is not oriented)."""
+    ta, tb = enc.breakpoint_positions(v)
+    if (tb - ta) % 2:
+        return None
+    return ReversalInterval(ta // 2 + 1, tb // 2)
+
+
+def scrambled(n, reversals, seed):
+    """The identity after seeded random reversals."""
+    rng = random.Random(seed)
+    p = identity(n)
+    for _ in range(reversals):
+        start = rng.randint(1, n)
+        p = apply_reversal(p, ReversalInterval(start, rng.randint(start, n)))
+    return p
 
 
 @st.composite
@@ -103,6 +130,18 @@ class TestReversalForVertex:
                     else:
                         with pytest.raises(ValueError):
                             reversal_for_vertex(row.perm, v)
+
+    def test_position_rule_matches_the_junction_positions(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                enc = encode_permutation(row.perm)
+                for v in range(len(row.perm) + 1):
+                    expected = interval_via_junctions(enc, v)
+                    if expected is None:
+                        with pytest.raises(ValueError):
+                            reversal_for_vertex(row.perm, v)
+                    else:
+                        assert reversal_for_vertex(row.perm, v) == expected
 
     def test_reversal_at_vertex_strips_its_loop(self, small_sweep):
         # applying the chosen reversal commutes with stripping the vertex
@@ -187,6 +226,78 @@ class TestSortByReversals:
                 assert (row.script_length is None) == (not row.sortable)
                 if row.script_length is not None:
                     assert row.script_length == row.oracle_distance
+
+
+class TestVerifySwitch:
+    """The super-linear cross-checks run only under the verify switch,
+    which the suite turns on for every test (conftest.verify_switch)."""
+
+    def test_the_suite_runs_with_the_switch_on(self):
+        assert enabled()
+        with verifying(False):
+            assert not enabled()
+        assert enabled()
+
+    def test_default_sort_encodes_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("encode_permutation", "circle_graph"):
+            monkeypatch.setattr(sorter, name, counted(name, getattr(sorter, name)))
+        p = scrambled(30, 12, seed=4)
+        with verifying(False):
+            script = sort_by_reversals(p)
+        assert script is not None and script.claimed_distance >= 5
+        assert calls == {"encode_permutation": 1, "circle_graph": 1}
+        # under the switch the circle graph is rebuilt after every step
+        calls.clear()
+        assert sort_by_reversals(p) == script
+        steps = script.claimed_distance
+        assert calls == {"encode_permutation": 1 + steps, "circle_graph": 1 + steps}
+
+    def test_sabotaged_strip_fails_the_sort(self, monkeypatch):
+        sabotage_lc_strip(monkeypatch)
+        with pytest.raises(AssertionError, match="is not the strip"):
+            sort_by_reversals(scrambled(30, 12, seed=4))
+
+    def test_sabotaged_rank_fails_the_distance(self, monkeypatch):
+        monkeypatch.setattr(graphs, "gf2_rank", lambda rows: 0)
+        with pytest.raises(AssertionError, match="matrix rank"):
+            reversal_distance(PI7)
+        # the distance keeps this check with the switch off as well
+        with verifying(False), pytest.raises(AssertionError, match="matrix rank"):
+            reversal_distance(PI7)
+
+    def test_trusted_constructors_validate_under_the_switch(self):
+        asymmetric = ((0, 1), (0b10, 0))
+        with verifying(False):
+            LoopedGraph._trusted(*asymmetric)
+            SignedPermutation._trusted((1, 1))
+        with pytest.raises(ValueError):
+            LoopedGraph._trusted(*asymmetric)
+        with pytest.raises(ValueError):
+            SignedPermutation._trusted((1, 1))
+
+    def test_switch_changes_no_script_or_report(self, small_sweep):
+        # oracle_cap=0 leaves out the BFS oracle, which runs no gated check
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                with verifying(False):
+                    off = (
+                        sort_by_reversals(row.perm),
+                        reversal_distance(row.perm, oracle_cap=0),
+                    )
+                on = (
+                    sort_by_reversals(row.perm),
+                    reversal_distance(row.perm, oracle_cap=0),
+                )
+                assert on == off, row.perm
 
 
 class TestReversalDistance:
