@@ -24,12 +24,7 @@ import re
 import sys
 
 from . import __version__
-from .dcj import (
-    adjacency_graph,
-    adjacency_graph_to_dot,
-    circular_dcj_distance,
-    dcj_distance,
-)
+from .dcj import adjacency_graph, adjacency_graph_to_dot, circular_dcj_distance
 from .dm import from_graph, has_full_lc_sequence_for, is_delta_matroid, is_even, summands
 from .fourreg import (
     circuits,
@@ -202,22 +197,23 @@ def _cmd_circle_graph(args) -> int:
     p = _permutation(args.permutation)
     h = permutation_circle_graph(p)
     m = adjacency_matrix(h)
-    labels = ["v%d" % v for v in h.vertices]
+    rank = m.rank()
+    nullity = m.size() - rank
     if args.dot:
         _write_dot(args.dot, looped_graph_to_dot(h))
     if args.json:
         data = graph_to_json(h)
-        data["rank"] = m.rank()
-        data["nullity"] = m.nullity()
+        data["rank"] = rank
+        data["nullity"] = nullity
         data["sortable"] = has_full_lc_sequence(h)
         _emit_json(data)
         return 0
     print("permutation: %s" % p)
     print("matrix:")
-    print(matrix_pretty(m, labels))
+    print(matrix_pretty(m))
     print("oriented: %s" % (" ".join("v%d" % v for v in sorted(h.looped_vertices())) or "none"))
-    print("rank: %d" % m.rank())
-    print("nullity: %d" % m.nullity())
+    print("rank: %d" % rank)
+    print("nullity: %d" % nullity)
     print("sortable: %s" % ("yes" if has_full_lc_sequence(h) else "no"))
     return 0
 
@@ -282,7 +278,7 @@ def _cmd_dm(args) -> int:
         data = d.to_json()
         data["delta_matroid"] = is_delta_matroid(d)
         data["even"] = is_even(d)
-        data["normal_form"] = d.binary_normal
+        data["normal_form"] = 0 in d.masks
         data["summand_grounds"] = [list(s.ground) for s in pieces]
         data["sortable"] = has_full_lc_sequence_for(d)
         _emit_json(data)
@@ -308,7 +304,7 @@ def _cmd_dcj(args) -> int:
     ga = _genome(args.genome_a)
     gb = _genome(args.genome_b)
     graph = adjacency_graph(ga, gb)
-    distance = dcj_distance(ga, gb)
+    distance = graph.distance
     n = len(ga.marker_names())
     all_circular = all(
         c.shape == CIRCULAR for g in (ga, gb) for c in g.chromosomes

@@ -117,49 +117,30 @@ def adjacency_set(g: Genome) -> AdjacencySet:
 
 
 def genome_from_adjacency_set(adj: AdjacencySet) -> Genome:
-    """Rebuild the genome; inverse of adjacency_set up to chromosome order."""
-    neighbor: dict[Extremity, Extremity | None] = {}
-    for pair in adj.adjacencies:
-        a, b = pair
+    """Rebuild the genome; inverse of adjacency_set up to chromosome order.
+
+    One walk per chromosome, linear ones from their telomeres first, then
+    circular ones from the tail of their least marker.  A walk follows
+    each marker to its other end and on across the adjacency there, and
+    stops at a telomere or back at a visited marker.
+    """
+    neighbor: dict[Extremity, Extremity] = {}
+    for a, b in adj.adjacencies:
         neighbor[a], neighbor[b] = b, a
-    for t in adj.telomeres:
-        neighbor[t] = None
-
-    def other_end(e: Extremity) -> Extremity:
-        return Extremity(e.marker, TAIL if e.side == HEAD else HEAD)
-
     visited: set[str] = set()
     chromosomes = []
-    for start in sorted(adj.telomeres):
+    for start in sorted(adj.telomeres) + [tail(m) for m in sorted(adj.marker_names())]:
         if start.marker in visited:
             continue
         markers = []
         cur = start
-        while True:
-            sign = 1 if cur.side == TAIL else -1
-            markers.append((cur.marker, sign))
+        while cur is not None and cur.marker not in visited:
+            forward = cur.side == TAIL
+            markers.append((cur.marker, 1 if forward else -1))
             visited.add(cur.marker)
-            nxt = neighbor[other_end(cur)]
-            if nxt is None:
-                break
-            cur = nxt
-        chromosomes.append(Chromosome(LINEAR, tuple(markers)))
-
-    for name in sorted(adj.marker_names()):
-        if name in visited:
-            continue
-        start = tail(name)
-        markers = []
-        cur = start
-        while True:
-            sign = 1 if cur.side == TAIL else -1
-            markers.append((cur.marker, sign))
-            visited.add(cur.marker)
-            cur = neighbor[other_end(cur)]
-            if cur == start:
-                break
-        chromosomes.append(Chromosome(CIRCULAR, tuple(markers)))
-
+            cur = neighbor.get(Extremity(cur.marker, HEAD if forward else TAIL))
+        shape = LINEAR if start in adj.telomeres else CIRCULAR
+        chromosomes.append(Chromosome(shape, tuple(markers)))
     return Genome(tuple(chromosomes))
 
 
@@ -196,6 +177,14 @@ class AdjacencyGraph:
     @property
     def odd_paths(self) -> int:
         return sum(1 for c in self.components if c.odd)
+
+    @property
+    def distance(self) -> int:
+        """n - (c + i/2) for n markers, each of which gives two edges."""
+        i = self.odd_paths
+        if i % 2:
+            raise AssertionError("odd paths come in pairs")
+        return len(self.edges) // 2 - (self.cycles + i // 2)
 
 
 def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
@@ -239,12 +228,7 @@ def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
 
 def dcj_distance(ga: Genome, gb: Genome) -> int:
     """n - (c + i/2) over the adjacency graph; zero iff the genomes match."""
-    graph = adjacency_graph(ga, gb)
-    n = len(ga.marker_names())
-    i = graph.odd_paths
-    if i % 2:
-        raise AssertionError("odd paths come in pairs")
-    return n - (graph.cycles + i // 2)
+    return adjacency_graph(ga, gb).distance
 
 
 def circular_dcj_distance(ga: Genome, gb: Genome) -> int:

@@ -5,7 +5,7 @@ It satisfies symmetric exchange when for all members X, Y and any x in
 their symmetric difference there is a y in that difference (y = x is
 allowed) with X delta {x, y} again a member.  Families are stored as int
 bitmasks over the sorted ground set, which keeps the axiom check, twists,
-products, and the sortability criterion cheap at desk scale.
+summands, and the sortability search cheap at desk scale.
 
 Two constructions tie these systems back to the graph machinery: from a
 looped graph, membership means the induced adjacency submatrix is
@@ -17,7 +17,7 @@ graph and its source partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fourreg import CircuitPartition, FourRegularGraph, is_euler_system, supplementary
 from .graphs import LoopedGraph, adjacency_matrix, gf2_rank
@@ -27,16 +27,10 @@ GROUND_CAP = 16
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Ground elements with a family of subsets, held as bitmasks.
-
-    binary_normal marks systems built from a looped graph, or from circuit
-    partitions whose first member is an Euler system; a twist clears it.
-    Equality ignores the flag.
-    """
+    """Ground elements with a family of subsets, held as bitmasks."""
 
     ground: tuple[int, ...]
     masks: frozenset[int]
-    binary_normal: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if tuple(sorted(set(self.ground))) != self.ground:
@@ -93,13 +87,9 @@ def set_system(ground, family) -> SetSystem:
     return SetSystem(ground, frozenset(masks))
 
 
-def set_system_from_json(data: dict) -> SetSystem:
-    return set_system(data["ground"], data["family"])
-
-
-def is_delta_matroid(d: SetSystem, cap: int = GROUND_CAP) -> bool:
-    """Exhaustive symmetric exchange check; refuses grounds above cap."""
-    if d.size() > cap:
+def is_delta_matroid(d: SetSystem) -> bool:
+    """Exhaustive symmetric exchange check; refuses grounds above GROUND_CAP."""
+    if d.size() > GROUND_CAP:
         raise ValueError("ground too large for the exhaustive check")
     masks = d.masks
     for x_set in masks:
@@ -125,26 +115,18 @@ def is_delta_matroid(d: SetSystem, cap: int = GROUND_CAP) -> bool:
 
 
 def twist(d: SetSystem, subset) -> SetSystem:
-    """Symmetric difference of every member with the given subset.
-
-    A nonempty twist clears the normal-form flag; twisting by the empty
-    set changes nothing and keeps it.
-    """
+    """Symmetric difference of every member with the given subset."""
     t = d._mask(subset)
-    return SetSystem(
-        d.ground,
-        frozenset(m ^ t for m in d.masks),
-        binary_normal=d.binary_normal and t == 0,
-    )
+    return SetSystem(d.ground, frozenset(m ^ t for m in d.masks))
 
 
-def from_graph(h: LoopedGraph, cap: int = GROUND_CAP) -> SetSystem:
+def from_graph(h: LoopedGraph) -> SetSystem:
     """Members are the vertex sets whose induced submatrix is invertible.
 
     The empty set is always a member (an empty matrix is invertible), so
     the result is in normal form.
     """
-    if len(h.vertices) > cap:
+    if len(h.vertices) > GROUND_CAP:
         raise ValueError("graph too large for subset enumeration")
     full = adjacency_matrix(h)
     n = full.size()
@@ -157,17 +139,14 @@ def from_graph(h: LoopedGraph, cap: int = GROUND_CAP) -> SetSystem:
         # invertible iff full rank after restricting columns to the subset
         if gf2_rank(rows) == mask.bit_count():
             members.add(mask)
-    return SetSystem(h.vertices, frozenset(members), binary_normal=True)
+    return SetSystem(h.vertices, frozenset(members))
 
 
 def from_partitions(
-    g: FourRegularGraph,
-    p1: CircuitPartition,
-    p2: CircuitPartition,
-    cap: int = GROUND_CAP,
+    g: FourRegularGraph, p1: CircuitPartition, p2: CircuitPartition
 ) -> SetSystem:
     """Members are the vertex sets where switching p1 to p2 stays Eulerian."""
-    if g.n_vertices > cap:
+    if g.n_vertices > GROUND_CAP:
         raise ValueError("graph too large for subset enumeration")
     if not supplementary(p1, p2):
         raise ValueError("partitions are not supplementary")
@@ -179,39 +158,13 @@ def from_partitions(
         )
         if is_euler_system(g, CircuitPartition(routes)):
             members.add(mask)
-    return SetSystem(
-        tuple(range(g.n_vertices)),
-        frozenset(members),
-        binary_normal=is_euler_system(g, p1),
-    )
+    return SetSystem(tuple(range(g.n_vertices)), frozenset(members))
 
 
 def is_even(d: SetSystem) -> bool:
     """All members share the parity of their size."""
     parities = {m.bit_count() & 1 for m in d.masks}
     return len(parities) <= 1
-
-
-def direct_sum(d1: SetSystem, d2: SetSystem) -> SetSystem:
-    """Disjoint union of grounds; members are unions of members."""
-    if set(d1.ground) & set(d2.ground):
-        raise ValueError("grounds overlap")
-    ground = tuple(sorted(d1.ground + d2.ground))
-    pos = {e: i for i, e in enumerate(ground)}
-
-    def lift(d: SetSystem, mask: int) -> int:
-        out = 0
-        for i, e in enumerate(d.ground):
-            if mask >> i & 1:
-                out |= 1 << pos[e]
-        return out
-
-    masks = frozenset(
-        lift(d1, a) | lift(d2, b) for a in d1.masks for b in d2.masks
-    )
-    return SetSystem(
-        ground, masks, binary_normal=d1.binary_normal and d2.binary_normal
-    )
 
 
 def _restrict(d: SetSystem, keep_mask: int) -> SetSystem:
@@ -288,32 +241,6 @@ def max_sets(d: SetSystem) -> frozenset[int]:
     return frozenset(out)
 
 
-def is_lc_sequence_for(d: SetSystem, order) -> bool:
-    """Every prefix of the order is a member (the empty prefix included)."""
-    order = list(order)
-    if len(set(order)) != len(order):
-        return False
-    if 0 not in d.masks:
-        return False
-    mask = 0
-    for e in order:
-        mask |= d._mask([e])
-        if mask not in d.masks:
-            return False
-    return True
-
-
-def is_full_lc_sequence_for(d: SetSystem, order) -> bool:
-    """An lc-sequence whose final prefix is a maximal member."""
-    order = list(order)
-    if not is_lc_sequence_for(d, order):
-        return False
-    final = 0
-    for e in order:
-        final |= d._mask([e])
-    return final in max_sets(d)
-
-
 def find_full_lc_sequence_for(d: SetSystem) -> tuple[int, ...] | None:
     """Search for an elementwise chain from the empty set to a maximal one."""
     if 0 not in d.masks:
@@ -348,20 +275,5 @@ def _chain_elements(d, parent, mask) -> tuple[int, ...]:
 
 
 def has_full_lc_sequence_for(d: SetSystem) -> bool:
-    """Chain criterion for systems in normal form; search otherwise.
-
-    In normal form, a chain from the empty member to a maximal member
-    exists iff every even connected summand on a nonempty ground is the
-    one-element system whose only member is the empty set.
-    """
-    if not d.binary_normal:
-        return find_full_lc_sequence_for(d) is not None
-    for piece in summands(d):
-        if not piece.ground:
-            continue
-        if not is_even(piece):
-            continue
-        if len(piece.ground) == 1 and piece.masks == frozenset({0}):
-            continue
-        return False
-    return True
+    """True iff a chain from the empty member to a maximal member exists."""
+    return find_full_lc_sequence_for(d) is not None

@@ -230,12 +230,6 @@ class PermEncoding:
     n: int
     junction_sequence: tuple[int, ...] = field(default=(), compare=False)
 
-    def breakpoint_positions(self, v: int) -> tuple[int, int]:
-        occ = [t for t, lab in enumerate(self.junction_sequence) if lab == v]
-        if len(occ) != 2:
-            raise ValueError("vertex %r has no junction positions" % (v,))
-        return (occ[0], occ[1])
-
 
 def target_circuit_count(g: FourRegularGraph, pb: CircuitPartition) -> int:
     """The number of pb circuits made of intermediate segments only."""
@@ -438,40 +432,23 @@ def random_supplementary(
 # exports
 
 
-def graph_to_dot(
-    g: FourRegularGraph, partition: CircuitPartition | None = None
-) -> str:
-    """DOT rendering; with a partition, edges are colored by circuit."""
+def graph_to_dot(g: FourRegularGraph, partition: CircuitPartition) -> str:
+    """DOT rendering with edges colored by their circuit in the partition."""
     palette = (
         "black red blue darkgreen orange purple brown cadetblue "
         "deeppink gray goldenrod"
     ).split()
     color = {}
-    if partition is not None:
-        for ci, c in enumerate(circuits(g, partition)):
-            for e in c.edge_ids:
-                color[e] = palette[ci % len(palette)]
+    for ci, c in enumerate(circuits(g, partition)):
+        for e in c.edge_ids:
+            color[e] = palette[ci % len(palette)]
     lines = ["graph fourreg {"]
     for v in range(g.n_vertices):
         lines.append('  n%d [label="%s"];' % (v, g.vertex_labels[v]))
     for i, (a, b) in enumerate(g.edges):
-        attrs = ['label="%s"' % g.edge_labels[i]]
-        if i in color:
-            attrs.append("color=%s" % color[i])
-        lines.append("  n%d -- n%d [%s];" % (a // 4, b // 4, ", ".join(attrs)))
+        lines.append(
+            '  n%d -- n%d [label="%s", color=%s];'
+            % (a // 4, b // 4, g.edge_labels[i], color[i])
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def pairing_to_json(enc: PermEncoding) -> dict:
-    """Half-edge dump for golden tests."""
-    return {
-        "n": enc.n,
-        "vertices": list(enc.graph.vertex_labels),
-        "edges": [
-            {"slots": list(e), "label": enc.graph.edge_labels[i], "kind": enc.graph.edge_kinds[i]}
-            for i, e in enumerate(enc.graph.edges)
-        ],
-        "pa_routes": list(enc.pa.routes),
-        "pb_routes": list(enc.pb.routes),
-    }

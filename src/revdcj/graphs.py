@@ -138,20 +138,6 @@ def looped_graph(vertices, edges) -> LoopedGraph:
     return LoopedGraph(vertices, tuple(rows))
 
 
-def induced_subgraph(h: LoopedGraph, keep) -> LoopedGraph:
-    keep = frozenset(keep)
-    if not keep <= set(h.vertices):
-        raise ValueError("subgraph vertices must come from the graph")
-    kept = [i for i, v in enumerate(h.vertices) if v in keep]
-    return LoopedGraph(
-        tuple(h.vertices[i] for i in kept),
-        tuple(
-            sum(1 << k for k, j in enumerate(kept) if h.rows[i] >> j & 1)
-            for i in kept
-        ),
-    )
-
-
 def component_masks(h: LoopedGraph):
     """Row-position masks of the components under non-loop edges, in
     order of their lowest position; each is flood-filled by OR-ing rows."""
@@ -214,10 +200,9 @@ def adjacency_matrix(h: LoopedGraph) -> Gf2Matrix:
     return Gf2Matrix(h.vertices, h.rows)
 
 
-def matrix_pretty(m: Gf2Matrix, labels=None) -> str:
-    """Bordered 0/1 layout with row and column labels."""
-    if labels is None:
-        labels = ["v%d" % v for v in m.index]
+def matrix_pretty(m: Gf2Matrix) -> str:
+    """Bordered 0/1 layout with rows and columns labelled v<id>."""
+    labels = ["v%d" % v for v in m.index]
     width = max((len(s) for s in labels), default=1)
     header = " " * (width + 1) + " ".join(s.rjust(width) for s in labels)
     lines = [header]
@@ -267,14 +252,12 @@ def circle_graph(
     return LoopedGraph._trusted(tuple(range(g.n_vertices)), tuple(rows))
 
 
-def looped_graph_to_dot(h: LoopedGraph, labels=None) -> str:
-    if labels is None:
-        labels = {v: "v%d" % v for v in h.vertices}
+def looped_graph_to_dot(h: LoopedGraph) -> str:
     looped = h.looped_vertices()
     lines = ["graph circle {"]
     for v in h.vertices:
         shape = "doublecircle" if v in looped else "circle"
-        lines.append('  n%d [label="%s", shape=%s];' % (v, labels[v], shape))
+        lines.append('  n%d [label="v%d", shape=%s];' % (v, v, shape))
     for e in sorted(h.edges, key=sorted):
         if len(e) == 2:
             a, b = sorted(e)
@@ -289,9 +272,3 @@ def graph_to_json(h: LoopedGraph) -> dict:
         "edges": sorted(sorted(e) for e in h.edges if len(e) == 2),
         "loops": sorted(h.looped_vertices()),
     }
-
-
-def graph_from_json(data: dict) -> LoopedGraph:
-    edges = [frozenset(e) for e in data["edges"]]
-    edges += [frozenset({v}) for v in data["loops"]]
-    return looped_graph(data["vertices"], edges)

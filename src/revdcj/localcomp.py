@@ -76,26 +76,6 @@ class LcSequence:
         return len(self.vertices)
 
 
-def _strip_along(h: LoopedGraph, seq: LcSequence) -> LoopedGraph | None:
-    """The graph left after stripping at each vertex of seq in turn, or
-    None when some vertex is missing or loopless when its turn comes."""
-    for v in seq.vertices:
-        if v not in h.vertices or not h.has_loop(v):
-            return None
-        h = lc_strip(h, v)
-    return h
-
-
-def is_lc_sequence(h: LoopedGraph, seq: LcSequence) -> bool:
-    return _strip_along(h, seq) is not None
-
-
-def is_full_lc_sequence(h: LoopedGraph, seq: LcSequence) -> bool:
-    """An lc-sequence that leaves no edges and no loops behind."""
-    end = _strip_along(h, seq)
-    return end is not None and not end.has_any_edge()
-
-
 def ms_set(h: LoopedGraph) -> frozenset[int]:
     """Looped vertices whose looped neighbors all score no higher.
 

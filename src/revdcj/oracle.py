@@ -37,9 +37,9 @@ class OracleResult:
     states_explored: int
 
 
-def enumerate_signed_permutations(n: int, cap: int = 7):
-    """Yield all 2^n * n! signed permutations of a given length."""
-    if n > cap:
+def enumerate_signed_permutations(n: int):
+    """Yield all 2^n * n! signed permutations of a given length, n <= 7."""
+    if n > 7:
         raise ValueError("too many signed permutations to enumerate")
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in range(1 << n):
@@ -199,57 +199,24 @@ def _state_successors(state: State) -> set[State]:
     return out
 
 
-def brute_dcj_distance(
-    ga: Genome,
-    gb: Genome,
-    cap: int = DCJ_CAP,
-    strategy: str = "bidirectional",
-) -> OracleResult:
+def brute_dcj_distance(ga: Genome, gb: Genome, cap: int = DCJ_CAP) -> OracleResult:
     """BFS between genome states; witness is the genome path.
 
     Moves are self-inverse as a set (every move can be undone by one
-    move), so the search runs from both ends by default; strategy "bfs"
-    forces the plain one-sided search.
+    move), so the search runs from both ends.
     """
     names = ga.marker_names()
     if names != gb.marker_names():
         raise ValueError("marker sets differ")
     if len(names) > cap:
         raise ValueError("refusing brute force beyond %d markers" % cap)
-    if strategy not in ("bidirectional", "bfs"):
-        raise ValueError("unknown strategy %r" % (strategy,))
     order = _marker_order(names)
     start = _encode_state(order, adjacency_set(ga))
     goal = _encode_state(order, adjacency_set(gb))
-
-    if strategy == "bfs":
-        path, explored = _plain_bfs(start, goal)
-    else:
-        path, explored = _bidirectional_bfs(start, goal)
-
+    path, explored = _bidirectional_bfs(start, goal)
     genomes = tuple(_decode_state(order, s) for s in path)
     _validate_genome_path(genomes)
     return OracleResult(len(path) - 1, genomes, explored)
-
-
-def _plain_bfs(start: State, goal: State):
-    parent: dict[State, State | None] = {start: None}
-    frontier = [start]
-    while goal not in parent:
-        nxt = []
-        for state in frontier:
-            for child in _state_successors(state):
-                if child not in parent:
-                    parent[child] = state
-                    nxt.append(child)
-        if not nxt and goal not in parent:
-            raise AssertionError("genome state space is connected")
-        frontier = nxt
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path, len(parent)
 
 
 def _bidirectional_bfs(start: State, goal: State):

@@ -1,8 +1,8 @@
 """Shared fixtures: the verify switch, on for the whole session, the
-exhaustive small-permutation sweep, random generators, and the
-route-switching reference circle graph used across the suite, plus a
-terminal summary that prints one pass/fail line per acceptance
-criterion."""
+exhaustive small-permutation sweep, random generators, the
+route-switching reference circle graph and the paper's sequence laws
+used across the suite, plus a terminal summary that prints one pass/fail
+line per acceptance criterion."""
 
 import random
 import re
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from revdcj import localcomp
 from revdcj.dcj import AdjacencySet, Extremity, HEAD, TAIL, genome_from_adjacency_set
+from revdcj.dm import SetSystem, set_system
 from revdcj.fourreg import (
     CircuitPartition,
     FourRegularGraph,
@@ -26,7 +27,7 @@ from revdcj.fourreg import (
     _slot_walk,
 )
 from revdcj.graphs import LoopedGraph, adjacency_matrix, looped_graph
-from revdcj.localcomp import has_full_lc_sequence
+from revdcj.localcomp import LcSequence, has_full_lc_sequence, lc_strip
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
 from revdcj.perm import Genome, SignedPermutation
 from revdcj.sorter import circuit_count, permutation_circle_graph, sort_by_reversals
@@ -90,9 +91,63 @@ def permutation_circle_graph_via_routes(p: SignedPermutation) -> LoopedGraph:
     return circle_graph_via_routes(enc.graph, enc.pa, enc.pb)
 
 
+def breakpoint_positions(enc, v: int) -> tuple[int, int]:
+    """The two positions of vertex v in a permutation encoding's junction
+    sequence."""
+    occ = [t for t, lab in enumerate(enc.junction_sequence) if lab == v]
+    if len(occ) != 2:
+        raise ValueError("vertex %r has no junction positions" % (v,))
+    return (occ[0], occ[1])
+
+
+def induced_subgraph(h: LoopedGraph, keep) -> LoopedGraph:
+    keep = frozenset(keep)
+    if not keep <= set(h.vertices):
+        raise ValueError("subgraph vertices must come from the graph")
+    kept = [i for i, v in enumerate(h.vertices) if v in keep]
+    return LoopedGraph(
+        tuple(h.vertices[i] for i in kept),
+        tuple(
+            sum(1 << k for k, j in enumerate(kept) if h.rows[i] >> j & 1)
+            for i in kept
+        ),
+    )
+
+
+def graph_from_json(data: dict) -> LoopedGraph:
+    edges = [frozenset(e) for e in data["edges"]]
+    edges += [frozenset({v}) for v in data["loops"]]
+    return looped_graph(data["vertices"], edges)
+
+
+def set_system_from_json(data: dict) -> SetSystem:
+    return set_system(data["ground"], data["family"])
+
+
+def _strip_along(h: LoopedGraph, seq: LcSequence) -> LoopedGraph | None:
+    """The graph left after stripping at each vertex of seq in turn, or
+    None when some vertex is missing or loopless when its turn comes."""
+    for v in seq.vertices:
+        if v not in h.vertices or not h.has_loop(v):
+            return None
+        h = lc_strip(h, v)
+    return h
+
+
+def is_lc_sequence(h: LoopedGraph, seq: LcSequence) -> bool:
+    return _strip_along(h, seq) is not None
+
+
+def is_full_lc_sequence(h: LoopedGraph, seq: LcSequence) -> bool:
+    """An lc-sequence that leaves no edges and no loops behind."""
+    end = _strip_along(h, seq)
+    return end is not None and not end.has_any_edge()
+
+
 @dataclass(frozen=True)
 class SweepRow:
     perm: SignedPermutation
+    graph: LoopedGraph
     c: int
     rank: int
     sortable: bool
@@ -108,10 +163,10 @@ class SweepData:
 
 @pytest.fixture(scope="session")
 def small_sweep() -> SweepData:
-    """Every signed permutation with n <= 5, annotated with circuit count,
-    matrix rank, the sortability criterion, the greedy script length (the
-    sorter itself asserts the step law at every step), and the exact BFS
-    distance."""
+    """Every signed permutation with n <= 5, annotated with its circle
+    graph, circuit count, matrix rank, the sortability criterion, the
+    greedy script length (the sorter itself asserts the step law at every
+    step), and the exact BFS distance."""
     started = time.monotonic()
     rows: dict[int, list[SweepRow]] = {}
     for n in range(SWEEP_MAX_N + 1):
@@ -126,6 +181,7 @@ def small_sweep() -> SweepData:
             out.append(
                 SweepRow(
                     perm=p,
+                    graph=h,
                     c=c,
                     rank=rank,
                     sortable=sortable,

@@ -2,13 +2,13 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from revdcj import cli
-from revdcj.dm import from_graph, set_system_from_json
+from revdcj.dm import from_graph
 from revdcj.fourreg import encode_permutation
-from revdcj.graphs import graph_from_json
 from revdcj.perm import (
     SignedPermutation,
     apply_reversal,
@@ -18,7 +18,12 @@ from revdcj.perm import (
 from revdcj.sorter import circuit_count, permutation_circle_graph
 from revdcj.verify import enabled, verifying
 
-from conftest import sabotage_lc_strip
+from conftest import (
+    breakpoint_positions,
+    graph_from_json,
+    sabotage_lc_strip,
+    set_system_from_json,
+)
 
 PI7_ARG = "1,-6,7,4,-2,-5,3"
 
@@ -58,6 +63,18 @@ nullity: 4
 sortable: yes
 """
 
+DM_TEXT = """\
+permutation: (1, -6, 7, 4, -2, -5, 3)
+ground: v0 v1 v2 v3 v4 v5 v6 v7
+family size: 42
+delta matroid: yes
+even: no
+summand grounds: v0; v1 v2 v3 v4 v5 v6 v7
+sortable: yes
+"""
+
+DM_JSON = (Path(__file__).parent / "golden" / "dm_pi7.json").read_text(encoding="utf-8")
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -80,6 +97,10 @@ class TestGoldenOutputs:
         code, out, err = run(capsys, "circle-graph", PI7_ARG)
         assert (code, err) == (0, "")
         assert out == CIRCLE_TEXT
+
+    def test_dm(self, capsys):
+        assert run(capsys, "dm", PI7_ARG) == (0, DM_TEXT, "")
+        assert run(capsys, "dm", PI7_ARG, "--json") == (0, DM_JSON, "")
 
     def test_output_is_stable_across_runs(self, capsys):
         first = run(capsys, "circle-graph", PI7_ARG)
@@ -163,7 +184,7 @@ class TestSortCommand:
             enc = encode_permutation(p)
             out = set()
             for v in range(len(p) + 1):
-                ta, tb = enc.breakpoint_positions(v)
+                ta, tb = breakpoint_positions(enc, v)
                 if tb == ta + 1:
                     out.add(v)
             return out

@@ -8,35 +8,40 @@ import pytest
 from revdcj.dm import (
     GROUND_CAP,
     SetSystem,
-    direct_sum,
     find_full_lc_sequence_for,
     from_graph,
     from_partitions,
     has_full_lc_sequence_for,
     is_delta_matroid,
     is_even,
-    is_full_lc_sequence_for,
-    is_lc_sequence_for,
     max_sets,
     set_system,
-    set_system_from_json,
     summands,
     twist,
 )
-from revdcj.fourreg import encode_permutation
-from revdcj.graphs import connected_components, looped_graph
+from revdcj.fourreg import (
+    encode_permutation,
+    random_euler_system,
+    random_four_regular,
+    random_supplementary,
+)
+from revdcj.graphs import circle_graph, connected_components, looped_graph
 from revdcj.localcomp import (
     LcSequence,
     has_full_lc_sequence,
-    is_full_lc_sequence,
-    is_lc_sequence,
     lc_strip,
     local_complement,
 )
 from revdcj.perm import SignedPermutation
 from revdcj.sorter import permutation_circle_graph
 
-from conftest import circle_graph_via_routes, random_looped_graph
+from conftest import (
+    circle_graph_via_routes,
+    is_full_lc_sequence,
+    is_lc_sequence,
+    random_looped_graph,
+    set_system_from_json,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -56,6 +61,64 @@ PI7_SMALL_MEMBERS = [
 # three elements, every subset except the singletons: connected and not
 # even, yet no chain of single-element growths leaves the empty set
 COUNTEREXAMPLE = set_system(range(3), [[], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
+
+
+def direct_sum(d1: SetSystem, d2: SetSystem) -> SetSystem:
+    """Disjoint union of grounds; members are unions of members."""
+    if set(d1.ground) & set(d2.ground):
+        raise ValueError("grounds overlap")
+    ground = tuple(sorted(d1.ground + d2.ground))
+    pos = {e: i for i, e in enumerate(ground)}
+
+    def lift(d: SetSystem, mask: int) -> int:
+        out = 0
+        for i, e in enumerate(d.ground):
+            if mask >> i & 1:
+                out |= 1 << pos[e]
+        return out
+
+    return SetSystem(
+        ground, frozenset(lift(d1, a) | lift(d2, b) for a in d1.masks for b in d2.masks)
+    )
+
+
+def is_lc_sequence_for(d: SetSystem, order) -> bool:
+    """Every prefix of the order is a member (the empty prefix included)."""
+    order = list(order)
+    if len(set(order)) != len(order):
+        return False
+    if 0 not in d.masks:
+        return False
+    mask = 0
+    for e in order:
+        mask |= d._mask([e])
+        if mask not in d.masks:
+            return False
+    return True
+
+
+def is_full_lc_sequence_for(d: SetSystem, order) -> bool:
+    """An lc-sequence whose final prefix is a maximal member."""
+    order = list(order)
+    if not is_lc_sequence_for(d, order):
+        return False
+    final = 0
+    for e in order:
+        final |= d._mask([e])
+    return final in max_sets(d)
+
+
+def summand_criterion(d: SetSystem) -> bool:
+    """Brijder & Hoogeboom (EJC 2011): a binary delta-matroid in normal
+    form has a full lc-sequence iff every even connected summand on a
+    nonempty ground is the one-element system whose only member is the
+    empty set."""
+    return all(
+        not piece.ground
+        or not is_even(piece)
+        or (len(piece.ground) == 1 and piece.masks == frozenset({0}))
+        for piece in summands(d)
+    )
 
 
 def random_looped_with_loop(rng, max_n=6):
@@ -92,7 +155,6 @@ class TestSetSystem:
         d = from_graph(permutation_circle_graph(PI7))
         again = set_system_from_json(d.to_json())
         assert again == d
-        assert not again.binary_normal  # the flag does not survive JSON
 
 
 class TestDeltaMatroidAxiom:
@@ -111,9 +173,9 @@ class TestDeltaMatroidAxiom:
         assert is_delta_matroid(from_graph(permutation_circle_graph(PI7)))
 
     def test_cap_is_enforced(self):
-        d = set_system(range(10), [[]])
+        d = set_system(range(GROUND_CAP + 1), [[]])
         with pytest.raises(ValueError):
-            is_delta_matroid(d, cap=8)
+            is_delta_matroid(d)
 
     def test_random_graph_systems_satisfy_exchange(self):
         rng = random.Random(21)
@@ -132,13 +194,9 @@ class TestTwist:
 
     def test_empty_twist_changes_nothing_and_keeps_the_flag(self):
         d = from_graph(permutation_circle_graph(PI7))
-        assert d.binary_normal
+        assert 0 in d.masks
         t = twist(d, [])
-        assert t == d and t.binary_normal
-
-    def test_nonempty_twist_clears_the_flag(self):
-        d = from_graph(permutation_circle_graph(PI7))
-        assert not twist(d, [1]).binary_normal
+        assert t == d and 0 in t.masks
 
     def test_twist_by_the_ground_complements_members(self):
         d = set_system([0, 1], [[]])
@@ -171,7 +229,7 @@ class TestFromGraph:
         assert d.sets() == {frozenset(), frozenset({7})}
 
     def test_flag_and_cap(self):
-        assert from_graph(looped_graph([0], [])).binary_normal
+        assert 0 in from_graph(looped_graph([0], [])).masks
         with pytest.raises(ValueError):
             from_graph(looped_graph(range(GROUND_CAP + 1), []))
 
@@ -182,10 +240,9 @@ class TestFromPartitions:
         via_switches = from_partitions(enc.graph, enc.pa, enc.pb)
         via_matrix = from_graph(permutation_circle_graph(PI7))
         assert via_switches == via_matrix
-        assert via_switches.binary_normal
+        assert 0 in via_switches.masks
 
     def test_equals_the_matrix_construction_on_small_permutations(self):
-        from revdcj.graphs import circle_graph
         from revdcj.oracle import enumerate_signed_permutations
 
         for n in range(4):
@@ -196,13 +253,6 @@ class TestFromPartitions:
                 assert from_partitions(enc.graph, enc.pa, enc.pb) == from_graph(h)
 
     def test_equals_the_matrix_construction_on_random_encodings(self):
-        from revdcj.fourreg import (
-            random_euler_system,
-            random_four_regular,
-            random_supplementary,
-        )
-        from revdcj.graphs import circle_graph
-
         rng = random.Random(4)
         for _ in range(30):
             g = random_four_regular(rng.randint(1, 8), rng.randrange(1 << 30))
@@ -212,7 +262,7 @@ class TestFromPartitions:
             h = circle_graph(g, p1, p2)
             assert h == circle_graph_via_routes(g, p1, p2)
             assert d == from_graph(h)
-            assert d.binary_normal
+            assert 0 in d.masks
 
     def test_empty_set_is_a_member_for_euler_sources(self):
         enc = encode_permutation(PI7)
@@ -250,12 +300,6 @@ class TestDirectSumAndSummands:
     def test_overlapping_grounds_rejected(self):
         with pytest.raises(ValueError):
             direct_sum(set_system([0], [[]]), set_system([0], [[]]))
-
-    def test_flag_needs_both_sides(self):
-        normal = from_graph(looped_graph([0], [(0,)]))
-        other = from_graph(looped_graph([1], [(1,)]))
-        assert direct_sum(normal, other).binary_normal
-        assert not direct_sum(normal, twist(other, [1])).binary_normal
 
     def test_example_splits_at_the_isolated_vertex(self):
         d = from_graph(permutation_circle_graph(PI7))
@@ -359,6 +403,33 @@ class TestSequenceCorrespondence:
             assert stripped.masks == frozenset(
                 m for m in twisted.masks if not m & bit
             )
+
+
+class TestSummandLaw:
+    """Sortability read off the summands agrees with the chain search and
+    with the graph criterion on binary systems in normal form."""
+
+    def test_on_the_circle_graphs_of_the_sweep(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                d = from_graph(row.graph)
+                found = find_full_lc_sequence_for(d) is not None
+                assert summand_criterion(d) == found == has_full_lc_sequence(row.graph)
+
+    def test_on_partition_systems(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            g = random_four_regular(rng.randint(1, 8), rng.randrange(1 << 30))
+            p1 = random_euler_system(g, rng.randrange(1 << 30))
+            p2 = random_supplementary(g, p1, rng.randrange(1 << 30))
+            d = from_partitions(g, p1, p2)
+            found = find_full_lc_sequence_for(d) is not None
+            assert summand_criterion(d) == found == has_full_lc_sequence(circle_graph(g, p1, p2))
+
+    def test_needs_a_binary_system(self):
+        # the counterexample is in normal form but is no graph's system
+        assert summand_criterion(COUNTEREXAMPLE)
+        assert find_full_lc_sequence_for(COUNTEREXAMPLE) is None
 
 
 class TestCounterexample:

@@ -15,7 +15,6 @@ from revdcj.fourreg import (
     encode_permutation,
     graph_to_dot,
     is_euler_system,
-    pairing_to_json,
     random_euler_system,
     random_four_regular,
     random_supplementary,
@@ -26,7 +25,23 @@ from revdcj.fourreg import (
 from revdcj.oracle import all_reversals, enumerate_signed_permutations
 from revdcj.perm import SignedPermutation, apply_reversal, identity, parse_genome
 
+from conftest import breakpoint_positions
+
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
+
+
+def pairing_to_json(enc) -> dict:
+    """Half-edge dump of a permutation encoding."""
+    return {
+        "n": enc.n,
+        "vertices": list(enc.graph.vertex_labels),
+        "edges": [
+            {"slots": list(e), "label": enc.graph.edge_labels[i], "kind": enc.graph.edge_kinds[i]}
+            for i, e in enumerate(enc.graph.edges)
+        ],
+        "pa_routes": list(enc.pa.routes),
+        "pb_routes": list(enc.pb.routes),
+    }
 
 
 def circuit_label_sets(g, p):
@@ -156,10 +171,10 @@ class TestEncodePermutation:
 
     def test_breakpoint_positions(self):
         enc = encode_permutation(PI7)
-        assert enc.breakpoint_positions(0) == (0, 1)
-        assert enc.breakpoint_positions(1) == (2, 10)
+        assert breakpoint_positions(enc, 0) == (0, 1)
+        assert breakpoint_positions(enc, 1) == (2, 10)
         with pytest.raises(ValueError):
-            enc.breakpoint_positions(9)
+            breakpoint_positions(enc, 9)
 
 
 class TestExactLayout:

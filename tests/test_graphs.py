@@ -20,9 +20,7 @@ from revdcj.graphs import (
     circle_graph,
     connected_components,
     gf2_rank,
-    graph_from_json,
     graph_to_json,
-    induced_subgraph,
     looped_graph,
     looped_graph_to_dot,
     matrix_pretty,
@@ -33,6 +31,8 @@ from revdcj.sorter import permutation_circle_graph
 
 from conftest import (
     circle_graph_via_routes,
+    graph_from_json,
+    induced_subgraph,
     permutation_circle_graph_via_routes,
     random_looped_graph,
     signed_permutations,

@@ -4,18 +4,11 @@ import random
 
 import pytest
 
-from revdcj.graphs import (
-    adjacency_matrix,
-    connected_components,
-    induced_subgraph,
-    looped_graph,
-)
+from revdcj.graphs import adjacency_matrix, connected_components, looped_graph
 from revdcj.localcomp import (
     LcSequence,
     find_full_lc_sequence,
     has_full_lc_sequence,
-    is_full_lc_sequence,
-    is_lc_sequence,
     lc_contract,
     lc_strip,
     local_complement,
@@ -24,7 +17,12 @@ from revdcj.localcomp import (
 from revdcj.perm import SignedPermutation
 from revdcj.sorter import permutation_circle_graph
 
-from conftest import random_looped_graph
+from conftest import (
+    induced_subgraph,
+    is_full_lc_sequence,
+    is_lc_sequence,
+    random_looped_graph,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 

@@ -25,7 +25,7 @@ from revdcj.sorter import (
 )
 from revdcj.verify import enabled, verifying
 
-from conftest import sabotage_lc_strip, signed_permutations
+from conftest import breakpoint_positions, sabotage_lc_strip, signed_permutations
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -34,7 +34,7 @@ def interval_via_junctions(enc, v):
     """Reference for reversal_for_vertex: the interval between v's two
     positions in the junction sequence, or None when they differ in
     parity (v is not oriented)."""
-    ta, tb = enc.breakpoint_positions(v)
+    ta, tb = breakpoint_positions(enc, v)
     if (tb - ta) % 2:
         return None
     return ReversalInterval(ta // 2 + 1, tb // 2)
