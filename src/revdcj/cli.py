@@ -4,11 +4,12 @@ Subcommands mirror the library layers: distance and sort for signed
 permutations, circle-graph and fourreg for the graph machinery, dm for
 the set-system view, dcj for genome pairs, oracle for the brute-force
 referees.  Data goes to stdout, errors to stderr; exit status is 0 on
-success, 1 on a domain error (bad permutation, oversize oracle call), 2
-on usage errors, and 3 on an internal error (a failed cross-check or
-invariant), which prints an ``internal error: ...`` line.  ``--verify``
-on distance and sort also runs the super-linear cross-checks (see
-``revdcj.verify``); the output is the same with and without it.
+success, 1 on a domain error (bad permutation, oversize oracle call) or
+when stdout is closed before the output is written (as when piped into
+``head``), 2 on usage errors, and 3 on an internal error (a failed
+cross-check or invariant), which prints an ``internal error: ...`` line.
+``--verify`` on distance and sort also runs the super-linear cross-checks
+(see ``revdcj.verify``); the output is the same with and without it.
 
 Permutation and genome arguments are taken literally, or read from a file
 when the argument names one; inline genomes may separate chromosomes with
@@ -488,8 +489,18 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "verify", False):
             with verifying():
-                return args.func(args)
-        return args.func(args)
+                status = args.func(args)
+        else:
+            status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull so
+        # that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

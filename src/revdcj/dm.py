@@ -5,7 +5,8 @@ It satisfies symmetric exchange when for all members X, Y and any x in
 their symmetric difference there is a y in that difference (y = x is
 allowed) with X delta {x, y} again a member.  Families are stored as int
 bitmasks over the sorted ground set, which keeps the axiom check, twists,
-summands, and the sortability search cheap at desk scale.
+summands, and the sortability search cheap at desk scale; of these only
+the axiom check compares every pair of members.
 
 Two constructions tie these systems back to the graph machinery: from a
 looped graph, membership means the induced adjacency submatrix is
@@ -185,60 +186,45 @@ def _restrict(d: SetSystem, keep_mask: int) -> SetSystem:
 
 
 def summands(d: SetSystem) -> tuple[SetSystem, ...]:
-    """Finest direct-sum decomposition; connected iff one summand."""
-    if not d.ground:
-        return ()
-    pieces = []
-    ground_mask = (1 << len(d.ground)) - 1
-    masks = d.masks
-    while ground_mask:
-        anchor = ground_mask & -ground_mask
-        block = _minimal_factor(masks, ground_mask, anchor)
-        pieces.append(block)
-        ground_mask ^= block
-        masks = frozenset(m & ground_mask for m in masks)
-    return tuple(_restrict(d, block) for block in pieces)
+    """Finest direct-sum decomposition; connected iff one summand.
 
-
-def _minimal_factor(masks: frozenset[int], ground_mask: int, anchor: int) -> int:
-    """Smallest anchor-containing block whose projection factors the family.
-
-    The family always sits inside the product of its two projections, so
-    the product equals the family exactly when the sizes match.
+    A block B factors a family F when |F|B| * |F|rest| = |F|; such blocks
+    are closed under intersection, so the finest split is unique.  The
+    ground is split one element at a time: a block of the elements seen so
+    far stays a block iff it still factors the family projected onto them,
+    and the new element's block takes in every block that does not.
     """
-    bits = [1 << i for i in range(ground_mask.bit_length()) if ground_mask >> i & 1]
-    others = [b for b in bits if b != anchor]
-    total = len(masks)
-    for size in range(len(others) + 1):
-        for block in _combination_masks(others, size):
-            block |= anchor
-            rest = ground_mask ^ block
-            if rest == 0:
-                return block
-            proj_a = {m & block for m in masks}
-            proj_b = {m & rest for m in masks}
-            if len(proj_a) * len(proj_b) == total:
-                return block
-    return ground_mask
-
-
-def _combination_masks(bits: list[int], size: int):
-    from itertools import combinations
-
-    for combo in combinations(bits, size):
-        out = 0
-        for b in combo:
-            out |= b
-        yield out
+    blocks: list[int] = []
+    seen = 0
+    for i in range(len(d.ground)):
+        bit = 1 << i
+        seen |= bit
+        family = {m & seen for m in d.masks}
+        joined = bit
+        kept = []
+        for block in blocks:
+            inside = {m & block for m in family}
+            outside = {m & (seen ^ block) for m in family}
+            if len(inside) * len(outside) == len(family):
+                kept.append(block)
+            else:
+                joined |= block
+        blocks = kept + [joined]
+    blocks.sort(key=lambda block: block & -block)
+    return tuple(_restrict(d, block) for block in blocks)
 
 
 def max_sets(d: SetSystem) -> frozenset[int]:
-    """Masks of members maximal under inclusion."""
-    out = set()
-    for m in d.masks:
-        if not any(other != m and other & m == m for other in d.masks):
-            out.add(m)
-    return frozenset(out)
+    """Masks of members maximal under inclusion.
+
+    Members are walked by decreasing size: a member with a strict superset
+    in the family lies inside some larger maximal member, already kept.
+    """
+    kept: list[int] = []
+    for m in sorted(d.masks, key=int.bit_count, reverse=True):
+        if not any(k & m == m for k in kept):
+            kept.append(m)
+    return frozenset(kept)
 
 
 def find_full_lc_sequence_for(d: SetSystem) -> tuple[int, ...] | None:

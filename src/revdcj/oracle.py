@@ -1,10 +1,12 @@
 """Brute-force distance oracles.
 
-These compute distances by breadth-first search over the full state
-space, sharing no machinery with the formula-based paths, so agreement
-between the two is meaningful evidence.  State counts explode quickly
-(signed permutations: 2^n * n!, genome states even faster), so every
-entry point refuses instances above a hard cap.
+These compute distances by breadth-first search from both ends at once,
+sharing no machinery with the formula-based paths, so agreement between
+the two is meaningful evidence.  Both oracles run the same search, each
+with its own move generator, and ``states_explored`` counts the states
+reached from either end.  State counts explode quickly (signed
+permutations: 2^n * n!, genome states even faster), so every entry point
+refuses instances above a hard cap.
 
 Witnesses are replayed through the public apply functions before being
 returned; the search is never trusted to have recorded them correctly.
@@ -56,57 +58,54 @@ def all_reversals(n: int) -> tuple[ReversalInterval, ...]:
     )
 
 
+def _reversal_successors(state: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every signed permutation one reversal away, as value tuples.
+
+    Written out on tuples rather than through ``apply_reversal``, so the
+    witness replay checks the two against each other.
+    """
+    n = len(state)
+    return [
+        state[:i] + tuple(-x for x in reversed(state[i:j])) + state[j:]
+        for i in range(n)
+        for j in range(i + 1, n + 1)
+    ]
+
+
+def _reversal_between(a: tuple[int, ...], b: tuple[int, ...]) -> ReversalInterval:
+    """The reversal taking a to b: it changes every position it covers."""
+    moved = [i for i in range(len(a)) if a[i] != b[i]]
+    return ReversalInterval(moved[0] + 1, moved[-1] + 1)
+
+
 def brute_reversal_distance(
     p: SignedPermutation, cap: int = REVERSAL_CAP
 ) -> OracleResult:
-    """BFS from p to the identity over all reversals, with a witness."""
+    """BFS from p and the identity at once over all reversals, with a witness."""
     n = len(p)
     if n > cap:
         raise ValueError("refusing brute force beyond %d elements" % cap)
-    moves = all_reversals(n)
-    target = identity(n).values
-    start = p.values
-    parent: dict[tuple, tuple | None] = {start: None}
-    step: dict[tuple, ReversalInterval] = {}
-    frontier = [start]
-    while target not in parent:
-        nxt = []
-        for state in frontier:
-            sp = SignedPermutation(state)
-            for r in moves:
-                child = apply_reversal(sp, r).values
-                if child not in parent:
-                    parent[child] = state
-                    step[child] = r
-                    nxt.append(child)
-        if not nxt and target not in parent:
-            raise AssertionError("reversal state space is connected")
-        frontier = nxt
-
-    intervals = []
-    cur = target
-    while parent[cur] is not None:
-        intervals.append(step[cur])
-        cur = parent[cur]
-    intervals.reverse()
+    path, explored = _bidirectional_bfs(
+        p.values, identity(n).values, _reversal_successors
+    )
+    intervals = tuple(_reversal_between(a, b) for a, b in zip(path, path[1:]))
 
     replay = p
     for r in intervals:
         replay = apply_reversal(replay, r)
     if not is_identity(replay):
         raise AssertionError("oracle witness does not replay")
-    return OracleResult(len(intervals), tuple(intervals), len(parent))
+    return OracleResult(len(intervals), intervals, explored)
 
 
-def reversal_distance_table(n: int, cap: int = REVERSAL_CAP) -> dict[tuple, int]:
+def reversal_distance_table(n: int) -> dict[tuple, int]:
     """Distance to the identity for every signed permutation of length n.
 
     One BFS from the identity; reversals are involutions, so distance from
     the identity equals distance to it.
     """
-    if n > cap:
-        raise ValueError("refusing brute force beyond %d elements" % cap)
-    moves = all_reversals(n)
+    if n > REVERSAL_CAP:
+        raise ValueError("refusing brute force beyond %d elements" % REVERSAL_CAP)
     start = identity(n).values
     dist = {start: 0}
     frontier = [start]
@@ -115,9 +114,7 @@ def reversal_distance_table(n: int, cap: int = REVERSAL_CAP) -> dict[tuple, int]
         d += 1
         nxt = []
         for state in frontier:
-            sp = SignedPermutation(state)
-            for r in moves:
-                child = apply_reversal(sp, r).values
+            for child in _reversal_successors(state):
                 if child not in dist:
                     dist[child] = d
                     nxt.append(child)
@@ -213,14 +210,15 @@ def brute_dcj_distance(ga: Genome, gb: Genome, cap: int = DCJ_CAP) -> OracleResu
     order = _marker_order(names)
     start = _encode_state(order, adjacency_set(ga))
     goal = _encode_state(order, adjacency_set(gb))
-    path, explored = _bidirectional_bfs(start, goal)
+    path, explored = _bidirectional_bfs(start, goal, _state_successors)
     genomes = tuple(_decode_state(order, s) for s in path)
     _validate_genome_path(genomes)
     return OracleResult(len(path) - 1, genomes, explored)
 
 
-def _bidirectional_bfs(start: State, goal: State):
-    """Level-synchronized search from both ends.
+def _bidirectional_bfs(start, goal, successors):
+    """Level-synchronized search from both ends over a move set that is
+    its own inverse; successors(state) lists the states one move away.
 
     Levels are always completed in full, and the search only stops once
     the best meeting sum can no longer be beaten: any shorter path would
@@ -228,8 +226,8 @@ def _bidirectional_bfs(start: State, goal: State):
     """
     if start == goal:
         return [start], 1
-    parent_f: dict[State, State | None] = {start: None}
-    parent_b: dict[State, State | None] = {goal: None}
+    parent_f = {start: None}
+    parent_b = {goal: None}
     dist_f, dist_b = {start: 0}, {goal: 0}
     frontier_f, frontier_b = [start], [goal]
     depth_f = depth_b = 0
@@ -248,7 +246,7 @@ def _bidirectional_bfs(start: State, goal: State):
         depth = (depth_f if forward else depth_b) + 1
         nxt = []
         for state in frontier:
-            for child in _state_successors(state):
+            for child in successors(state):
                 if child in grow_d:
                     continue
                 grow_p[child] = state
@@ -264,7 +262,7 @@ def _bidirectional_bfs(start: State, goal: State):
             frontier_b, depth_b = nxt, depth
 
     if best is None:
-        raise AssertionError("genome state space is connected")
+        raise AssertionError("the state space is connected")
     meet = best[1]
     back = [meet]
     while parent_f[back[-1]] is not None:

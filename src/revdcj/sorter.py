@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import verify
+from . import oracle, verify
 from .fourreg import encode_permutation, target_circuit_count
 from .graphs import adjacency_matrix, circle_graph
 from .localcomp import greedy_strips, has_full_lc_sequence
@@ -199,17 +199,10 @@ def reversal_distance(
 
     if policy == "bound_only":
         return DistanceReport(p, lb, None, "bound_only")
-    if policy == "oracle_only":
-        from .oracle import brute_reversal_distance
-
-        result = brute_reversal_distance(p, cap=oracle_cap)
-        return DistanceReport(p, lb, result.distance, "oracle")
-    if has_full_lc_sequence(h):
+    if policy == "auto" and has_full_lc_sequence(h):
         return DistanceReport(p, lb, lb, "hp_criterion")
-    if len(p) <= oracle_cap:
-        from .oracle import brute_reversal_distance
-
-        result = brute_reversal_distance(p, cap=oracle_cap)
+    if policy == "oracle_only" or len(p) <= oracle_cap:
+        result = oracle.brute_reversal_distance(p, cap=oracle_cap)
         return DistanceReport(p, lb, result.distance, "oracle")
     return DistanceReport(p, lb, None, "bound_only")
 

@@ -1,7 +1,10 @@
 """Command-line interface: golden outputs, JSON modes, files, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -442,3 +445,20 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("revdcj ")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_one_quietly(self, unbuffered):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "revdcj.cli", "distance", PI7_ARG],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

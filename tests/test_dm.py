@@ -1,7 +1,7 @@
 """Set systems with symmetric exchange and their graph constructions."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -119,6 +119,60 @@ def summand_criterion(d: SetSystem) -> bool:
         or (len(piece.ground) == 1 and piece.masks == frozenset({0}))
         for piece in summands(d)
     )
+
+
+def subset_search_summands(d: SetSystem) -> tuple[tuple[int, ...], ...]:
+    """Reference for summands: the grounds of the finest split, each block
+    found as the smallest set, containing the lowest element left, whose
+    projection factors what is left of the family."""
+    ground_mask = (1 << len(d.ground)) - 1
+    masks = d.masks
+    grounds = []
+    while ground_mask:
+        anchor = ground_mask & -ground_mask
+        others = [
+            1 << i for i in range(ground_mask.bit_length())
+            if ground_mask >> i & 1 and 1 << i != anchor
+        ]
+        candidates = (
+            anchor | sum(combo)
+            for size in range(len(others))
+            for combo in combinations(others, size)
+        )
+        factors = (
+            b for b in candidates
+            if len({m & b for m in masks}) * len({m & ground_mask & ~b for m in masks})
+            == len(masks)
+        )
+        block = next(factors, ground_mask)
+        grounds.append(tuple(e for i, e in enumerate(d.ground) if block >> i & 1))
+        ground_mask ^= block
+        masks = frozenset(m & ground_mask for m in masks)
+    return tuple(grounds)
+
+
+def random_family(rng, max_n=7) -> SetSystem:
+    n = rng.randint(0, max_n)
+    return SetSystem(
+        tuple(range(n)),
+        frozenset(rng.randrange(1 << n) for _ in range(rng.randint(1, 1 << n))),
+    )
+
+
+def shuffled_product(rng) -> SetSystem:
+    """A product of small random families on a random split of the ground."""
+    ground = list(range(rng.randint(1, 8)))
+    rng.shuffle(ground)
+    cuts = sorted(rng.sample(range(1, len(ground)), rng.randint(0, len(ground) - 1)))
+    family = {0}
+    for lo, hi in zip([0, *cuts], [*cuts, len(ground)]):
+        part = ground[lo:hi]
+        factor = {
+            sum(1 << e for e in part if rng.random() < 0.5)
+            for _ in range(rng.randint(1, 4))
+        }
+        family = {a | b for a in family for b in factor}
+    return SetSystem(tuple(range(len(ground))), frozenset(family))
 
 
 def random_looped_with_loop(rng, max_n=6):
@@ -328,6 +382,35 @@ class TestDirectSumAndSummands:
         assert summands(set_system([], [[]])) == ()
 
 
+class TestSummandsAgainstSubsetSearch:
+    """The one-element-at-a-time split equals the subset search it replaced."""
+
+    @staticmethod
+    def grounds(d):
+        return tuple(piece.ground for piece in summands(d))
+
+    def test_random_families(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            d = random_family(rng)
+            assert self.grounds(d) == subset_search_summands(d)
+
+    def test_shuffled_products(self):
+        rng = random.Random(32)
+        split = 0
+        for _ in range(300):
+            d = shuffled_product(rng)
+            assert self.grounds(d) == subset_search_summands(d)
+            split += len(summands(d)) > 1
+        assert split > 100
+
+    def test_the_systems_of_the_sweep(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                d = from_graph(row.graph)
+                assert self.grounds(d) == subset_search_summands(d)
+
+
 class TestMaxSets:
     def test_example_maxima_all_have_rank_cardinality(self):
         d = from_graph(permutation_circle_graph(PI7))
@@ -339,6 +422,15 @@ class TestMaxSets:
     def test_max_of_a_single_looped_vertex(self):
         d = from_graph(looped_graph([3], [(3,)]))
         assert max_sets(d) == frozenset({1})
+
+    def test_equals_the_pairwise_definition(self):
+        rng = random.Random(34)
+        for _ in range(500):
+            d = random_family(rng)
+            assert max_sets(d) == {
+                m for m in d.masks
+                if not any(o != m and o & m == m for o in d.masks)
+            }
 
     def test_maxima_cardinality_equals_rank_on_random_graphs(self):
         from revdcj.graphs import adjacency_matrix

@@ -102,6 +102,22 @@ class TestBruteReversalDistance:
         with pytest.raises(ValueError):
             brute_reversal_distance(identity(REVERSAL_CAP + 1))
 
+    def test_agrees_with_the_table(self):
+        rng = random.Random(27)
+        tables = {n: reversal_distance_table(n) for n in range(6)}
+        cases = [p for n in range(5) for p in enumerate_signed_permutations(n)]
+        cases += rng.sample(list(enumerate_signed_permutations(5)), 100)
+        for p in cases:
+            res = brute_reversal_distance(p)
+            assert res.distance == tables[len(p)][p.values]
+            assert len(res.witness) == res.distance
+
+    def test_reversed_seven_searches_from_both_ends(self):
+        # a search from this end alone reaches 645,056 of the 645,120 states
+        res = brute_reversal_distance(SignedPermutation((7, 6, 5, 4, 3, 2, 1)))
+        assert res.distance == 7
+        assert res.states_explored < 64_512
+
 
 class TestDistanceTable:
     def test_covers_every_permutation(self):
