@@ -3,11 +3,13 @@
 Subcommands mirror the library layers: distance and sort for signed
 permutations, circle-graph and fourreg for the graph machinery, dm for
 the set-system view, dcj for genome pairs, oracle for the brute-force
-referees.  Data goes to stdout, errors to stderr; exit status is 0 on
-success, 1 on a domain error (bad permutation, oversize oracle call) or
-when stdout is closed before the output is written (as when piped into
-``head``), 2 on usage errors, and 3 on an internal error (a failed
-cross-check or invariant), which prints an ``internal error: ...`` line.
+referees, whose size caps (``revdcj.oracle``) no option raises.  Data goes
+to stdout, errors to stderr; exit status is 0 on success, 1 on a domain
+error (bad permutation, oversize oracle call, unreadable or unwritable
+file) or when stdout is closed before the output is written (as when
+piped into ``head``), 2 on usage errors, and 3 on an internal error (a
+failed cross-check or invariant), which prints an ``internal error: ...``
+line.
 ``--verify`` on distance and sort also runs the super-linear cross-checks
 (see ``revdcj.verify``); the output is the same with and without it.
 
@@ -43,7 +45,7 @@ from .graphs import (
     matrix_pretty,
 )
 from .localcomp import has_full_lc_sequence
-from .oracle import DCJ_CAP, REVERSAL_CAP, brute_dcj_distance, brute_reversal_distance
+from .oracle import DCJ_CAP, brute_dcj_distance, brute_reversal_distance
 from .perm import CIRCULAR, Genome, SignedPermutation, parse_genome, parse_permutation
 from .sorter import (
     POLICIES,
@@ -88,7 +90,7 @@ def _write_dot(path: str, content: str) -> None:
 def _cmd_distance(args) -> int:
     p = _permutation(args.permutation)
     if args.both_orientations:
-        pair = both_orientation_distance(p, policy=args.policy, oracle_cap=args.oracle_cap)
+        pair = both_orientation_distance(p, policy=args.policy)
         if args.json:
             _emit_json(pair.to_json())
             return 0
@@ -102,7 +104,7 @@ def _cmd_distance(args) -> int:
         print("lower bound: %d" % pair.lower_bound)
         print("exact: %s" % _fmt(pair.exact))
         return 0
-    rep = reversal_distance(p, policy=args.policy, oracle_cap=args.oracle_cap)
+    rep = reversal_distance(p, policy=args.policy)
     c = len(p) + 1 - rep.lower_bound
     if args.json:
         data = rep.to_json()
@@ -314,8 +316,8 @@ def _cmd_dcj(args) -> int:
     if circular_distance is not None and circular_distance != distance:
         raise AssertionError("encoding route disagrees with the adjacency graph")
     oracle_distance = None
-    if n <= args.oracle_cap:
-        oracle_distance = brute_dcj_distance(ga, gb, cap=args.oracle_cap).distance
+    if n <= DCJ_CAP:
+        oracle_distance = brute_dcj_distance(ga, gb).distance
         if oracle_distance != distance:
             raise AssertionError("formula disagrees with the search oracle")
     if args.dot:
@@ -357,7 +359,7 @@ def _cmd_dcj(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.kind == "rev":
         p = _permutation(args.input_a)
-        result = brute_reversal_distance(p, cap=args.oracle_cap)
+        result = brute_reversal_distance(p)
         if args.json:
             _emit_json(
                 {
@@ -381,7 +383,7 @@ def _cmd_oracle(args) -> int:
     if args.input_b is None:
         raise ValueError("the dcj oracle needs two genomes")
     gb = _genome(args.input_b)
-    result = brute_dcj_distance(ga, gb, cap=args.oracle_cap)
+    result = brute_dcj_distance(ga, gb)
     if args.json:
         _emit_json(
             {
@@ -433,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--json", action="store_true")
     d.add_argument("--both-orientations", action="store_true")
     d.add_argument("--policy", choices=POLICIES, default="auto")
-    d.add_argument("--oracle-cap", type=int, default=REVERSAL_CAP)
     d.add_argument("--verify", action="store_true", help=_VERIFY_HELP)
     d.set_defaults(func=_cmd_distance)
 
@@ -467,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("genome_b")
     j.add_argument("--json", action="store_true")
     j.add_argument("--dot", metavar="PATH")
-    j.add_argument("--oracle-cap", type=int, default=DCJ_CAP)
     j.set_defaults(func=_cmd_dcj)
 
     o = sub.add_parser("oracle", help="brute-force distances by state search")
@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("input_a")
     o.add_argument("input_b", nargs="?")
     o.add_argument("--json", action="store_true")
-    o.add_argument("--oracle-cap", type=int, default=None)
     o.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -484,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "oracle" and args.oracle_cap is None:
-        args.oracle_cap = REVERSAL_CAP if args.kind == "rev" else DCJ_CAP
     try:
         if getattr(args, "verify", False):
             with verifying():
@@ -501,7 +498,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except AssertionError as exc:

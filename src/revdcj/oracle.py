@@ -6,7 +6,10 @@ the two is meaningful evidence.  Both oracles run the same search, each
 with its own move generator, and ``states_explored`` counts the states
 reached from either end.  State counts explode quickly (signed
 permutations: 2^n * n!, genome states even faster), so every entry point
-refuses instances above a hard cap.
+refuses instances above a hard cap: ``REVERSAL_CAP`` elements for a single
+reversal search, ``TABLE_CAP`` elements for a whole-space table or
+enumeration, and ``DCJ_CAP`` markers for the DCJ search.  No parameter or
+option raises them.
 
 Witnesses are replayed through the public apply functions before being
 returned; the search is never trusted to have recorded them correctly.
@@ -29,6 +32,7 @@ from .perm import (
 )
 
 REVERSAL_CAP = 9
+TABLE_CAP = 7
 DCJ_CAP = 6
 
 
@@ -40,8 +44,8 @@ class OracleResult:
 
 
 def enumerate_signed_permutations(n: int):
-    """Yield all 2^n * n! signed permutations of a given length, n <= 7."""
-    if n > 7:
+    """Yield all 2^n * n! signed permutations of a given length, n <= TABLE_CAP."""
+    if n > TABLE_CAP:
         raise ValueError("too many signed permutations to enumerate")
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in range(1 << n):
@@ -78,13 +82,11 @@ def _reversal_between(a: tuple[int, ...], b: tuple[int, ...]) -> ReversalInterva
     return ReversalInterval(moved[0] + 1, moved[-1] + 1)
 
 
-def brute_reversal_distance(
-    p: SignedPermutation, cap: int = REVERSAL_CAP
-) -> OracleResult:
+def brute_reversal_distance(p: SignedPermutation) -> OracleResult:
     """BFS from p and the identity at once over all reversals, with a witness."""
     n = len(p)
-    if n > cap:
-        raise ValueError("refusing brute force beyond %d elements" % cap)
+    if n > REVERSAL_CAP:
+        raise ValueError("refusing brute force beyond %d elements" % REVERSAL_CAP)
     path, explored = _bidirectional_bfs(
         p.values, identity(n).values, _reversal_successors
     )
@@ -104,8 +106,8 @@ def reversal_distance_table(n: int) -> dict[tuple, int]:
     One BFS from the identity; reversals are involutions, so distance from
     the identity equals distance to it.
     """
-    if n > REVERSAL_CAP:
-        raise ValueError("refusing brute force beyond %d elements" % REVERSAL_CAP)
+    if n > TABLE_CAP:
+        raise ValueError("refusing brute force beyond %d elements" % TABLE_CAP)
     start = identity(n).values
     dist = {start: 0}
     frontier = [start]
@@ -196,7 +198,7 @@ def _state_successors(state: State) -> set[State]:
     return out
 
 
-def brute_dcj_distance(ga: Genome, gb: Genome, cap: int = DCJ_CAP) -> OracleResult:
+def brute_dcj_distance(ga: Genome, gb: Genome) -> OracleResult:
     """BFS between genome states; witness is the genome path.
 
     Moves are self-inverse as a set (every move can be undone by one
@@ -205,8 +207,8 @@ def brute_dcj_distance(ga: Genome, gb: Genome, cap: int = DCJ_CAP) -> OracleResu
     names = ga.marker_names()
     if names != gb.marker_names():
         raise ValueError("marker sets differ")
-    if len(names) > cap:
-        raise ValueError("refusing brute force beyond %d markers" % cap)
+    if len(names) > DCJ_CAP:
+        raise ValueError("refusing brute force beyond %d markers" % DCJ_CAP)
     order = _marker_order(names)
     start = _encode_state(order, adjacency_set(ga))
     goal = _encode_state(order, adjacency_set(gb))

@@ -26,7 +26,6 @@ from .fourreg import encode_permutation, target_circuit_count
 from .graphs import adjacency_matrix, circle_graph
 from .localcomp import greedy_strips, has_full_lc_sequence
 from .localcomp import lc_strip, ms_set  # noqa: F401  bench/spans.py wraps these names
-from .oracle import REVERSAL_CAP
 from .perm import ReversalInterval, SignedPermutation, apply_reversal, is_identity
 from .perm import reverse_complement
 
@@ -177,17 +176,15 @@ class DistanceReport:
         }
 
 
-POLICIES = ("auto", "bound_only", "oracle_only")
+POLICIES = ("auto", "bound_only")
 
 
-def reversal_distance(
-    p: SignedPermutation, policy: str = "auto", oracle_cap: int = REVERSAL_CAP
-) -> DistanceReport:
+def reversal_distance(p: SignedPermutation, policy: str = "auto") -> DistanceReport:
     """Distance report under the given policy.
 
     auto: exact via the sortability criterion when it holds, otherwise by
-    brute force up to oracle_cap, otherwise bound only.  bound_only: never
-    exact.  oracle_only: always brute force, raising above the cap.
+    brute force up to ``oracle.REVERSAL_CAP`` elements, otherwise bound
+    only.  bound_only: never exact.
     """
     if policy not in POLICIES:
         raise ValueError("unknown policy %r" % (policy,))
@@ -199,10 +196,10 @@ def reversal_distance(
 
     if policy == "bound_only":
         return DistanceReport(p, lb, None, "bound_only")
-    if policy == "auto" and has_full_lc_sequence(h):
+    if has_full_lc_sequence(h):
         return DistanceReport(p, lb, lb, "hp_criterion")
-    if policy == "oracle_only" or len(p) <= oracle_cap:
-        result = oracle.brute_reversal_distance(p, cap=oracle_cap)
+    if len(p) <= oracle.REVERSAL_CAP:
+        result = oracle.brute_reversal_distance(p)
         return DistanceReport(p, lb, result.distance, "oracle")
     return DistanceReport(p, lb, None, "bound_only")
 
@@ -234,13 +231,11 @@ class OrientationPair:
 
 
 def both_orientation_distance(
-    p: SignedPermutation, policy: str = "auto", oracle_cap: int = REVERSAL_CAP
+    p: SignedPermutation, policy: str = "auto"
 ) -> OrientationPair:
     """Distances for p and its reverse complement; they differ by at most 1."""
-    forward = reversal_distance(p, policy=policy, oracle_cap=oracle_cap)
-    backward = reversal_distance(
-        reverse_complement(p), policy=policy, oracle_cap=oracle_cap
-    )
+    forward = reversal_distance(p, policy=policy)
+    backward = reversal_distance(reverse_complement(p), policy=policy)
     if forward.exact is not None and backward.exact is not None:
         if abs(forward.exact - backward.exact) > 1:
             raise AssertionError("orientations more than one reversal apart")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from revdcj import cli
 from revdcj.dm import from_graph
 from revdcj.fourreg import encode_permutation
+from revdcj.oracle import DCJ_CAP
 from revdcj.perm import (
     SignedPermutation,
     apply_reversal,
@@ -80,7 +82,11 @@ DM_JSON = (Path(__file__).parent / "golden" / "dm_pi7.json").read_text(encoding=
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    """cli.main's status, with argparse's SystemExit read as a status too."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -355,10 +361,11 @@ class TestDcjCommand:
         assert data["oracle_distance"] == 1
 
     def test_oracle_skipped_above_the_cap(self, capsys):
-        code, out, _ = run(
-            capsys, "dcj", "C: 1 2", "C: 1 -2", "--oracle-cap", "1"
-        )
+        names = " ".join(map(str, range(1, DCJ_CAP + 2)))
+        code, out, _ = run(capsys, "dcj", "L: " + names, "C: " + names)
         assert code == 0
+        assert "markers: %d" % (DCJ_CAP + 1) in out
+        assert "distance: 1" in out
         assert "oracle distance" not in out
 
     def test_marker_mismatch_is_a_domain_error(self, capsys):
@@ -396,7 +403,7 @@ class TestVerifyFlag:
             rng.shuffle(values)
             arg = ",".join(str(v if rng.random() < 0.5 else -v) for v in values)
             argvs.append(["sort", arg, "--json"][: rng.randint(2, 3)])
-            argvs.append(["distance", arg, "--oracle-cap", "0", "--both-orientations"])
+            argvs.append(["distance", arg, "--both-orientations"])
         for argv in argvs:
             with verifying(False):
                 plain = run(capsys, *argv)
@@ -462,3 +469,146 @@ class TestExitCodes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "2,1", "--oracle-cap", "3"],
+            ["dcj", "C: 1 2", "C: 1 -2", "--oracle-cap", "1"],
+            ["oracle", "rev", "2,1", "--oracle-cap", "9"],
+            ["distance", "2,1", "--policy", "oracle_only"],
+        ],
+        ids=["distance-cap", "dcj-cap", "oracle-cap", "oracle-only-policy"],
+    )
+    def test_is_a_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circle-graph", PI7_ARG],
+            ["fourreg", PI7_ARG],
+            ["dcj", "C: 1 2", "C: 1 -2"],
+        ],
+        ids=["circle-graph", "fourreg", "dcj"],
+    )
+    def test_dot_into_a_missing_directory(self, capsys, tmp_path, argv):
+        path = tmp_path / "no" / "such" / "out.dot"
+        code, _, err = run(capsys, *argv, "--dot", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+
+MALFORMED_TOKENS = ("x", "1.5", "+", "-", "--1", "1-", "2e3", "(1)", "0x1", "nan")
+
+
+def fuzz_permutation(rng):
+    """At most 6 values, often broken: a malformed or duplicate token,
+    a zero, a gap, or an empty token."""
+    n = rng.randint(0, 6)
+    tokens = [str(v * rng.choice((1, -1))) for v in rng.sample(range(1, n + 1), n)]
+    flaw = rng.randrange(7)
+    if flaw == 0 and tokens:
+        tokens[rng.randrange(n)] = rng.choice(MALFORMED_TOKENS)
+    elif flaw == 1 and tokens:
+        tokens.append(rng.choice(tokens))
+    elif flaw == 2:
+        tokens.insert(rng.randint(0, n), rng.choice(("0", "-0")))
+    elif flaw == 3:
+        tokens.append(str(n + 2))
+    elif flaw == 4:
+        tokens.insert(rng.randint(0, n), "")
+    return rng.choice((",", " ", ", ")).join(tokens)
+
+
+def fuzz_genome(rng, names):
+    """Chromosomes over the given markers, joined by ';', sometimes broken:
+    a duplicate or foreign marker, an empty chromosome, a bad prefix, a
+    stray sign."""
+    names = list(names)
+    rng.shuffle(names)
+    lines = []
+    while names:
+        k = rng.randint(1, len(names))
+        chunk, names = names[:k], names[k:]
+        markers = [rng.choice(("", "-")) + m for m in chunk]
+        lines.append("%s: %s" % (rng.choice("LC"), " ".join(markers)))
+    flaw = rng.randrange(10)
+    if flaw == 0 and lines:
+        lines[-1] += " " + lines[-1].split()[-1].lstrip("-")
+    elif flaw == 1:
+        lines.append("L: z")
+    elif flaw == 2:
+        lines.append(rng.choice(("C:", "L: ", "X: a", "a b")))
+    elif flaw == 3 and lines:
+        lines[0] = lines[0].replace(": ", ": --", 1)
+    elif flaw == 4 and lines:
+        lines[-1] += " -"
+    return rng.choice((";", "; ", "\n")).join(lines)
+
+
+def fuzz_argv(rng, literal_files, dot_paths):
+    command = rng.choice(
+        ("distance", "sort", "circle-graph", "fourreg", "dm", "dcj", "oracle")
+    )
+    perm = rng.choice(literal_files) if rng.random() < 0.15 else fuzz_permutation(rng)
+    names = rng.sample(("a", "b", "c", "1", "2", "x7"), rng.randint(0, 4))
+    genomes = [
+        rng.choice(literal_files) if rng.random() < 0.15 else fuzz_genome(rng, names)
+        for _ in range(rng.choice((1, 2, 2, 2)))
+    ]
+    if command == "dcj":
+        argv = [command, *genomes]
+    elif command == "oracle":
+        kind = rng.choice(("rev", "dcj", "bad"))
+        argv = [command, kind, *(genomes if kind == "dcj" else [perm])]
+    elif command == "fourreg" and rng.random() < 0.3:
+        argv = [command, "--random", str(rng.randint(-1, 8))]
+        argv += ["--seed", str(rng.randint(-3, 9))]
+        if rng.random() < 0.2:
+            argv.append(perm)
+    else:
+        argv = [command, perm]
+    if rng.random() < 0.4:
+        argv.append("--json")
+    if command in ("circle-graph", "fourreg", "dcj") and rng.random() < 0.3:
+        argv += ["--dot", rng.choice(dot_paths)]
+    if command == "distance":
+        if rng.random() < 0.3:
+            argv.append("--both-orientations")
+        if rng.random() < 0.3:
+            argv += ["--policy", rng.choice(("auto", "bound_only", "exact"))]
+    if command in ("distance", "sort") and rng.random() < 0.2:
+        argv.append("--verify")
+    if rng.random() < 0.05:
+        argv.append(rng.choice(("--frob", "-x", "--json=1")))
+    return argv
+
+
+class TestFuzz:
+    def test_every_call_ends_with_a_status(self, capsys, tmp_path, monkeypatch):
+        # files named like literals: an existing path is read, not parsed
+        monkeypatch.chdir(tmp_path)
+        Path("2,1").write_text("1,-2\n")
+        Path("3 1 2").write_text("not a permutation\n")
+        Path("L: a; C: b").write_text("L: b\nC: a\n")
+        Path("latin1").write_bytes(b"1,\xff2\n")
+        Path("1,2").mkdir()
+        literal_files = ["2,1", "3 1 2", "L: a; C: b", "latin1", "1,2"]
+        dot_paths = ["out.dot", str(tmp_path / "missing" / "out.dot"), "1,2"]
+
+        rng = random.Random(16)
+        seen = Counter()
+        for _ in range(400):
+            argv = fuzz_argv(rng, literal_files, dot_paths)
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            assert "internal error" not in err, argv
+            seen[code] += 1
+        assert all(seen[code] > 20 for code in (0, 1, 2)), seen

@@ -8,6 +8,7 @@ from revdcj.dcj import adjacency_set, dcj_distance, enumerate_dcj_moves
 from revdcj.oracle import (
     DCJ_CAP,
     REVERSAL_CAP,
+    TABLE_CAP,
     _encode_state,
     _marker_order,
     _state_successors,
@@ -133,6 +134,12 @@ class TestDistanceTable:
     def test_cap(self):
         with pytest.raises(ValueError):
             reversal_distance_table(REVERSAL_CAP + 1)
+
+    def test_refuses_the_eight_element_table(self):
+        # 10,321,920 entries; the largest table in use is n = 7 (645,120)
+        assert TABLE_CAP == 7
+        with pytest.raises(ValueError, match="beyond 7 elements"):
+            reversal_distance_table(8)
 
 
 class TestBruteDcjDistance:

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revdcj import graphs, sorter
+from revdcj import graphs, oracle, sorter
 from revdcj.fourreg import encode_permutation
 from revdcj.graphs import LoopedGraph
 from revdcj.localcomp import has_full_lc_sequence, lc_strip, ms_set
@@ -285,18 +285,11 @@ class TestVerifySwitch:
             SignedPermutation._trusted((1, 1))
 
     def test_switch_changes_no_script_or_report(self, small_sweep):
-        # oracle_cap=0 leaves out the BFS oracle, which runs no gated check
         for rows in small_sweep.rows.values():
             for row in rows:
                 with verifying(False):
-                    off = (
-                        sort_by_reversals(row.perm),
-                        reversal_distance(row.perm, oracle_cap=0),
-                    )
-                on = (
-                    sort_by_reversals(row.perm),
-                    reversal_distance(row.perm, oracle_cap=0),
-                )
+                    off = (sort_by_reversals(row.perm), reversal_distance(row.perm))
+                on = (sort_by_reversals(row.perm), reversal_distance(row.perm))
                 assert on == off, row.perm
 
 
@@ -324,22 +317,20 @@ class TestReversalDistance:
         rep = reversal_distance(PI7, policy="bound_only")
         assert rep.lower_bound == 4 and rep.exact is None
 
-    def test_oracle_only_policy_forces_the_search(self):
-        rep = reversal_distance(PI7, policy="oracle_only")
-        assert rep.exact == 4 and rep.method == "oracle"
+    def test_auto_beyond_cap_degrades_to_bound(self, monkeypatch):
+        def no_search(p):
+            raise AssertionError("the oracle ran above its cap")
 
-    def test_oracle_only_respects_the_cap(self):
-        with pytest.raises(ValueError):
-            reversal_distance(PI7, policy="oracle_only", oracle_cap=3)
-
-    def test_auto_beyond_cap_degrades_to_bound(self):
-        rep = reversal_distance(SignedPermutation((2, 1)), oracle_cap=1)
-        assert rep.exact is None and rep.method == "bound_only"
+        monkeypatch.setattr(oracle, "brute_reversal_distance", no_search)
+        hard = SignedPermutation((2, 1, *range(3, oracle.REVERSAL_CAP + 2)))
+        rep = reversal_distance(hard)
+        assert (rep.lower_bound, rep.exact, rep.method) == (2, None, "bound_only")
 
     def test_unknown_policy_rejected(self):
-        assert POLICIES == ("auto", "bound_only", "oracle_only")
-        with pytest.raises(ValueError):
-            reversal_distance(PI7, policy="fast")
+        assert POLICIES == ("auto", "bound_only")
+        for policy in ("fast", "oracle_only"):
+            with pytest.raises(ValueError):
+                reversal_distance(PI7, policy=policy)
 
     def test_report_json(self):
         data = reversal_distance(PI7).to_json()
