@@ -56,8 +56,6 @@ from .sorter import (
 )
 from .verify import verifying
 
-_ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
-
 
 def _read_arg(text: str) -> str:
     if os.path.isfile(text):
@@ -141,14 +139,11 @@ def _resolved_vertices(p: SignedPermutation) -> set[int]:
 
 
 def _connection_phrase(pairs: list[str]) -> str:
+    """A reversal changes only the breakpoints at its two ends, so a step
+    creates one adjacency or two."""
     if len(pairs) == 1:
         return "connecting %s" % pairs[0]
-    if len(pairs) == 2:
-        return "connecting both (i) %s and (ii) %s" % (pairs[0], pairs[1])
-    numbered = [
-        "(%s) %s" % (_ROMAN[i], text) for i, text in enumerate(pairs)
-    ]
-    return "connecting %s, and %s" % (", ".join(numbered[:-1]), numbered[-1])
+    return "connecting both (i) %s and (ii) %s" % tuple(pairs)
 
 
 def _step_caption(before: SignedPermutation, after: SignedPermutation) -> str:
@@ -252,8 +247,8 @@ def _cmd_fourreg(args) -> int:
             ],
             "pa_routes": list(pa.routes),
             "pb_routes": list(pb.routes),
-            "pa_circuits": [list(c.labels(g)) for c in ca],
-            "pb_circuits": [list(c.labels(g)) for c in cb],
+            "pa_circuits": [[g.edge_labels[i] for i in c] for c in ca],
+            "pb_circuits": [[g.edge_labels[i] for i in c] for c in cb],
         }
         _emit_json(data)
         return 0
@@ -262,7 +257,7 @@ def _cmd_fourreg(args) -> int:
     print("source circuits: %d" % len(ca))
     print("target circuits: %d" % len(cb))
     for c in cb:
-        print("  " + " ".join(c.labels(g)))
+        print("  " + " ".join(g.edge_labels[i] for i in c))
     if n is not None:
         print("c: %d" % target_circuit_count(g, pb))
     return 0
@@ -358,6 +353,8 @@ def _cmd_dcj(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.kind == "rev":
+        if args.input_b is not None:
+            raise ValueError("the rev oracle takes one permutation")
         p = _permutation(args.input_a)
         result = brute_reversal_distance(p)
         if args.json:

@@ -7,7 +7,9 @@ the loose ends one of two ways; cutting one adjacency and leaving both
 ends loose is the fission case.  The distance is n - (c + i/2) where c
 counts the cycles and i the odd-length paths of the bipartite graph whose
 sides are the breakpoints of the two genomes and whose edges join the two
-homes of each extremity.
+homes of each extremity.  Extremities, and which of them meet at each
+junction or chromosome end, come from ``perm`` (``Chromosome.junctions``
+and ``Chromosome.telomeres``).
 
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
@@ -17,18 +19,9 @@ that route is kept as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .fourreg import encode_circular_genomes, target_circuit_count, union_find
-from .perm import CIRCULAR, LINEAR, Chromosome, Genome
-
-HEAD = "head"
-TAIL = "tail"
-
-
-class Extremity(NamedTuple):
-    marker: str
-    side: str
+from .perm import CIRCULAR, HEAD, LINEAR, TAIL, Chromosome, Extremity, Genome
 
 
 def head(marker: str) -> Extremity:
@@ -37,14 +30,6 @@ def head(marker: str) -> Extremity:
 
 def tail(marker: str) -> Extremity:
     return Extremity(marker, TAIL)
-
-
-def _left_extremity(marker: str, sign: int) -> Extremity:
-    return tail(marker) if sign > 0 else head(marker)
-
-
-def _right_extremity(marker: str, sign: int) -> Extremity:
-    return head(marker) if sign > 0 else tail(marker)
 
 
 @dataclass(frozen=True)
@@ -87,33 +72,10 @@ class AdjacencySet:
 
 
 def adjacency_set(g: Genome) -> AdjacencySet:
-    adjacencies = set()
-    telomeres = set()
-    for chrom in g.chromosomes:
-        markers = chrom.markers
-        k = len(markers)
-        for i in range(k - 1):
-            name, sign = markers[i]
-            nxt_name, nxt_sign = markers[i + 1]
-            adjacencies.add(
-                frozenset(
-                    {_right_extremity(name, sign), _left_extremity(nxt_name, nxt_sign)}
-                )
-            )
-        if chrom.shape == CIRCULAR:
-            name, sign = markers[-1]
-            nxt_name, nxt_sign = markers[0]
-            adjacencies.add(
-                frozenset(
-                    {_right_extremity(name, sign), _left_extremity(nxt_name, nxt_sign)}
-                )
-            )
-        else:
-            first_name, first_sign = markers[0]
-            last_name, last_sign = markers[-1]
-            telomeres.add(_left_extremity(first_name, first_sign))
-            telomeres.add(_right_extremity(last_name, last_sign))
-    return AdjacencySet(frozenset(adjacencies), frozenset(telomeres))
+    return AdjacencySet(
+        frozenset(frozenset(j) for c in g.chromosomes for j in c.junctions()),
+        frozenset(e for c in g.chromosomes for e in c.telomeres()),
+    )
 
 
 def genome_from_adjacency_set(adj: AdjacencySet) -> Genome:
@@ -309,8 +271,6 @@ def apply_dcj(
 
 
 def _normalize_breakpoint(state: AdjacencySet, cut) -> frozenset[Extremity]:
-    if isinstance(cut, Extremity):
-        cut = (cut,)
     bp = frozenset(
         e if isinstance(e, Extremity) else Extremity(*e) for e in cut
     )

@@ -6,6 +6,8 @@ Every vertex owns four half-edge slots, numbered 0..3; globally slot
 matching on all slots.  A circuit partition assigns each vertex a route,
 one of the three perfect matchings on its four slots; following edges and
 routes alternately decomposes the edge set into closed circuits.
+``circuits`` gives each one as its edge ids in least form over rotation
+and reflection (``perm.least_rotation`` on both directions).
 
 A route is an XOR mask: route r in {1, 2, 3} pairs slot s with slot
 ``s ^ r`` (1: 0-1 and 2-3, 2: 0-2 and 1-3, 3: 0-3 and 1-2), so the route
@@ -17,7 +19,8 @@ an anchor, insert intermediate segments) or a pair of all-circular genomes
 (insert intermediates only) into such a graph together with the circuit
 partition of the source chromosome(s) and the supplementary partition
 whose real-segment circuits spell the target.  Both lay out slots and
-target routes the same way, from closed junction sequences (``_expand``).
+target routes the same way, from closed junction sequences (``_expand``);
+a genome's junctions are read with ``perm.Chromosome.junctions``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .perm import CIRCULAR, Genome, SignedPermutation
+from .perm import CIRCULAR, Genome, SignedPermutation, least_rotation
 
 ANCHOR = "anchor"
 REAL = "real"
@@ -128,35 +131,6 @@ class CircuitPartition:
                 raise ValueError("route code must be 1, 2, or 3")
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """A closed walk, canonicalized over rotation and reflection."""
-
-    edge_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edge_ids", _canonical_cycle(self.edge_ids))
-
-    def labels(self, g: FourRegularGraph) -> tuple[str, ...]:
-        return tuple(g.edge_labels[i] for i in self.edge_ids)
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-
-def _canonical_cycle(ids) -> tuple[int, ...]:
-    ids = tuple(ids)
-    if len(ids) <= 1:
-        return ids
-    best = None
-    for seq in (ids, ids[::-1]):
-        for i in range(len(seq)):
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def _slot_walk(g: FourRegularGraph, p: CircuitPartition):
     """Yield each circuit once, as the list of (arrive_slot, depart_slot) steps."""
     if len(p.routes) != g.n_vertices:
@@ -179,13 +153,18 @@ def _slot_walk(g: FourRegularGraph, p: CircuitPartition):
         yield steps
 
 
-def circuits(g: FourRegularGraph, p: CircuitPartition) -> tuple[Circuit, ...]:
-    """Decompose the edges into circuits by alternating edges with routes."""
+def circuits(g: FourRegularGraph, p: CircuitPartition) -> tuple[tuple[int, ...], ...]:
+    """Decompose the edges into circuits by alternating edges with routes.
+
+    Each circuit is the least of its edge-id sequences over rotation and
+    reflection, and the circuits come sorted.
+    """
     owner = g.edge_of_slot()
-    result = [
-        Circuit(tuple(owner[dep] for _, dep in steps)) for steps in _slot_walk(g, p)
-    ]
-    return tuple(sorted(result, key=lambda c: c.edge_ids))
+    forms = []
+    for steps in _slot_walk(g, p):
+        ids = tuple(owner[dep] for _, dep in steps)
+        forms.append(min(least_rotation(ids), least_rotation(ids[::-1])))
+    return tuple(sorted(forms))
 
 
 def is_euler_system(g: FourRegularGraph, p: CircuitPartition) -> bool:
@@ -303,15 +282,6 @@ def encode_permutation(p: SignedPermutation) -> PermEncoding:
     return PermEncoding(graph, pa, pb, n, tuple(junction))
 
 
-def _junctions(markers):
-    """The extremity pairs that meet around a circular chromosome: the
-    right end of each marker with the left end of the next."""
-    for (name, sign), (nxt, nxt_sign) in zip(markers, markers[1:] + markers[:1]):
-        right = (name, "head" if sign > 0 else "tail")
-        left = (nxt, "tail" if nxt_sign > 0 else "head")
-        yield right, left
-
-
 def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
     """Encode two all-circular genomes over the same markers.
 
@@ -329,13 +299,13 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
         raise ValueError("marker sets differ")
 
     vertices = sorted(
-        {tuple(sorted(adj)) for c in gb.chromosomes for adj in _junctions(c.markers)}
+        {tuple(sorted(adj)) for c in gb.chromosomes for adj in c.junctions()}
     )
     vertex_of = {ext: v for v, adj in enumerate(vertices) for ext in adj}
 
     # junction after marker i, then after the intermediate that follows it
     cycles = [
-        [vertex_of[ext] for adj in _junctions(chrom.markers) for ext in adj]
+        [vertex_of[ext] for adj in chrom.junctions() for ext in adj]
         for chrom in ga.chromosomes
     ]
     edges, pb = _expand(cycles, len(vertices))
@@ -363,6 +333,8 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
 
 def random_four_regular(n_vertices: int, seed: int) -> FourRegularGraph:
     """Configuration-model pairing of all slots; loops and multi-edges allowed."""
+    if n_vertices < 0:
+        raise ValueError("vertex count %d is negative" % n_vertices)
     rng = random.Random(seed)
     slots = list(range(4 * n_vertices))
     rng.shuffle(slots)
@@ -440,7 +412,7 @@ def graph_to_dot(g: FourRegularGraph, partition: CircuitPartition) -> str:
     ).split()
     color = {}
     for ci, c in enumerate(circuits(g, partition)):
-        for e in c.edge_ids:
+        for e in c:
             color[e] = palette[ci % len(palette)]
     lines = ["graph fourreg {"]
     for v in range(g.n_vertices):

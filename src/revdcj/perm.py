@@ -4,12 +4,19 @@ A signed permutation is a sequence of nonzero integers whose absolute
 values are exactly 1..n.  A reversal flips a contiguous block and negates
 every entry in it.  Genomes are unordered collections of linear or
 circular chromosomes over string marker names, each name used once.
+
+The sequence rules that the DCJ and 4-regular views share live here once:
+which marker extremities meet at each junction of a chromosome
+(``Chromosome.junctions``) and at its loose ends (``Chromosome.telomeres``),
+and the least form of a cycle of distinct items (``least_rotation``), on
+which both a circular chromosome's and a circuit's canonical form rest.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import verify
 
@@ -121,9 +128,38 @@ def permutation_from_json(data: dict) -> SignedPermutation:
 
 Marker = tuple[str, int]  # (name, +1 or -1)
 
+HEAD = "head"
+TAIL = "tail"
+
+
+class Extremity(NamedTuple):
+    marker: str
+    side: str
+
+
+def _ends(marker: Marker) -> tuple[Extremity, Extremity]:
+    """The extremities at a marker's left and right as its chromosome reads:
+    tail then head when it points forward, head then tail when reversed."""
+    name, sign = marker
+    tail, head = Extremity(name, TAIL), Extremity(name, HEAD)
+    return (tail, head) if sign > 0 else (head, tail)
+
 
 def _flip(markers: tuple[Marker, ...]) -> tuple[Marker, ...]:
     return tuple((name, -sign) for name, sign in reversed(markers))
+
+
+def least_rotation(seq: tuple) -> tuple:
+    """The rotation of seq that starts at its least item.
+
+    When the items are distinct, as marker names in a chromosome and edge
+    ids in a circuit are, this is the least of all rotations, found in
+    linear time without building the others.
+    """
+    if not seq:
+        return seq
+    i = seq.index(min(seq))
+    return seq[i:] + seq[:i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,22 +183,39 @@ class Chromosome:
         object.__setattr__(
             self, "markers", tuple((str(n), int(s)) for n, s in self.markers)
         )
+        seen = set()
         for name, sign in self.markers:
             if sign not in (1, -1):
                 raise ValueError("marker sign must be +1 or -1")
             if not name or name.startswith("-"):
                 raise ValueError("bad marker name %r" % name)
+            if name in seen:
+                raise ValueError("duplicate marker %r" % name)
+            seen.add(name)
 
     def canonical(self) -> tuple:
         ms = self.markers
         if self.shape == LINEAR:
             best = min(ms, _flip(ms))
         else:
-            forms = []
-            for seq in (ms, _flip(ms)):
-                forms.extend(seq[i:] + seq[:i] for i in range(len(seq)))
-            best = min(forms)
+            best = min(least_rotation(ms), least_rotation(_flip(ms)))
         return (self.shape, best)
+
+    def junctions(self) -> list[tuple[Extremity, Extremity]]:
+        """The (right end, left end) pair where each marker meets the next,
+        in reading order; a circular chromosome closes with its last marker
+        meeting its first."""
+        ends = [_ends(m) for m in self.markers]
+        if self.shape == CIRCULAR:
+            ends.append(ends[0])
+        return [(a[1], b[0]) for a, b in zip(ends, ends[1:])]
+
+    def telomeres(self) -> tuple[Extremity, ...]:
+        """A linear chromosome's two loose ends, the left end of its first
+        marker and the right end of its last; a circular one has none."""
+        if self.shape == CIRCULAR:
+            return ()
+        return _ends(self.markers[0])[0], _ends(self.markers[-1])[1]
 
     def __eq__(self, other):
         if not isinstance(other, Chromosome):

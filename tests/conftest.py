@@ -100,6 +100,13 @@ def breakpoint_positions(enc, v: int) -> tuple[int, int]:
     return (occ[0], occ[1])
 
 
+def least_cycle_by_brute_force(seq: tuple, reflect) -> tuple:
+    """The least of every rotation of seq and of reflect(seq): the referee
+    for the linear-time canonical forms of circuits and circular
+    chromosomes."""
+    return min(s[i:] + s[:i] for s in (seq, reflect(seq)) for i in range(len(s)))
+
+
 def induced_subgraph(h: LoopedGraph, keep) -> LoopedGraph:
     keep = frozenset(keep)
     if not keep <= set(h.vertices):

@@ -78,7 +78,9 @@ summand grounds: v0; v1 v2 v3 v4 v5 v6 v7
 sortable: yes
 """
 
-DM_JSON = (Path(__file__).parent / "golden" / "dm_pi7.json").read_text(encoding="utf-8")
+GOLDEN = Path(__file__).parent / "golden"
+DM_JSON = (GOLDEN / "dm_pi7.json").read_text(encoding="utf-8")
+README_DCJ = ("L: b -d c; C: a -e f", "L: a b c; C: d e; L: f")
 
 
 def run(capsys, *argv):
@@ -110,6 +112,27 @@ class TestGoldenOutputs:
     def test_dm(self, capsys):
         assert run(capsys, "dm", PI7_ARG) == (0, DM_TEXT, "")
         assert run(capsys, "dm", PI7_ARG, "--json") == (0, DM_JSON, "")
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("fourreg", "--json", PI7_ARG), "fourreg_pi7.json"),
+            (("fourreg", "--random", "6", "--seed", "9"), "fourreg_random6_seed9.txt"),
+            (
+                ("dcj", "--json", "C: a -b c; C: d e", "C: a b; C: c -e d"),
+                "dcj_circular.json",
+            ),
+        ],
+    )
+    def test_fourreg_and_dcj(self, capsys, argv, golden):
+        expected = (GOLDEN / golden).read_text(encoding="utf-8")
+        assert run(capsys, *argv) == (0, expected, "")
+
+    def test_dcj_dot(self, capsys, tmp_path):
+        path = tmp_path / "dcj.dot"
+        code, _, err = run(capsys, "dcj", *README_DCJ, "--dot", str(path))
+        assert (code, err) == (0, "")
+        assert path.read_bytes() == (GOLDEN / "dcj_readme.dot").read_bytes()
 
     def test_output_is_stable_across_runs(self, capsys):
         first = run(capsys, "circle-graph", PI7_ARG)
@@ -173,6 +196,11 @@ class TestSortCommand:
         code, out, _ = run(capsys, "sort", "2,1")
         assert code == 0
         assert "no optimal script: the sortability criterion fails" in out
+
+    def test_unsortable_json_names_the_source(self, capsys):
+        code, out, err = run(capsys, "sort", "2,1", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"sortable": False, "source": {"values": [2, 1]}}
 
     def test_json_steps_replay(self, capsys):
         code, out, _ = run(capsys, "sort", PI7_ARG, "--json")
@@ -306,6 +334,16 @@ class TestFourregCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_permutation_or_random_is_required(self, capsys):
+        assert run(capsys, "fourreg") == (
+            1, "", "error: a permutation or --random is required\n"
+        )
+
+    def test_negative_random_count_is_named(self, capsys):
+        assert run(capsys, "fourreg", "--random", "-1") == (
+            1, "", "error: vertex count -1 is negative\n"
+        )
+
 
 class TestDmCommand:
     def test_summary(self, capsys):
@@ -392,6 +430,11 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "dcj", "L: 1")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_reversal_search_takes_one_permutation(self, capsys):
+        assert run(capsys, "oracle", "rev", "2,1", "1,2") == (
+            1, "", "error: the rev oracle takes one permutation\n"
+        )
 
 
 class TestVerifyFlag:

@@ -21,11 +21,18 @@ from revdcj.fourreg import (
     supplementary,
     switch_route,
     target_circuit_count,
+    _slot_walk,
 )
 from revdcj.oracle import all_reversals, enumerate_signed_permutations
-from revdcj.perm import SignedPermutation, apply_reversal, identity, parse_genome
+from revdcj.perm import (
+    SignedPermutation,
+    apply_reversal,
+    identity,
+    least_rotation,
+    parse_genome,
+)
 
-from conftest import breakpoint_positions
+from conftest import breakpoint_positions, least_cycle_by_brute_force
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -45,7 +52,7 @@ def pairing_to_json(enc) -> dict:
 
 
 def circuit_label_sets(g, p):
-    return sorted(sorted(c.labels(g)) for c in circuits(g, p))
+    return sorted(sorted(g.edge_labels[i] for i in c) for c in circuits(g, p))
 
 
 class TestGraphValidation:
@@ -100,11 +107,26 @@ class TestSmallestGraphs:
                 assert len(circuits(g, CircuitPartition((r,)))) == (2 if split else 1)
 
     def test_circuit_canonical_under_rotation_and_reflection(self):
-        from revdcj.fourreg import Circuit
+        def form(ids):
+            return min(least_rotation(ids), least_rotation(ids[::-1]))
 
-        assert Circuit((1, 2, 0)) == Circuit((0, 1, 2))
-        assert Circuit((2, 1, 0)) == Circuit((0, 1, 2))
-        assert Circuit((0, 2, 1)) == Circuit((0, 1, 2))
+        for ids in ((1, 2, 0), (2, 1, 0), (0, 2, 1)):
+            assert form(ids) == (0, 1, 2)
+
+    def test_circuits_are_the_least_forms_of_the_walks(self):
+        # every circuit of up to 5 vertices (10 edges), against the least
+        # of all rotations and reflections of the walk that found it
+        rng = random.Random(17)
+        for trial in range(400):
+            n = rng.randint(1, 5)
+            g = random_four_regular(n, rng.randrange(1 << 30))
+            p = CircuitPartition(tuple(rng.choice((1, 2, 3)) for _ in range(n)))
+            owner = g.edge_of_slot()
+            walks = [tuple(owner[dep] for _, dep in s) for s in _slot_walk(g, p)]
+            expected = sorted(
+                least_cycle_by_brute_force(w, lambda s: s[::-1]) for w in walks
+            )
+            assert list(circuits(g, p)) == expected, trial
 
 
 class TestEncodePermutation:
@@ -299,6 +321,10 @@ class TestRandomGenerators:
     def test_zero_vertices(self):
         g = random_four_regular(0, 7)
         assert g.n_vertices == 0 and g.edges == ()
+
+    def test_negative_vertex_count_is_named(self):
+        with pytest.raises(ValueError, match="vertex count -1 is negative"):
+            random_four_regular(-1, 7)
 
     def test_deterministic_for_a_seed(self):
         assert random_four_regular(5, 42) == random_four_regular(5, 42)

@@ -1,6 +1,7 @@
 """Signed permutations, reversals, and genome parsing."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,21 +9,25 @@ from hypothesis import given, strategies as st
 from revdcj.perm import (
     CIRCULAR,
     Chromosome,
+    Extremity,
     Genome,
+    HEAD,
     LINEAR,
+    TAIL,
     ReversalInterval,
     SignedPermutation,
     apply_reversal,
     genome_from_json,
     identity,
     is_identity,
+    least_rotation,
     parse_genome,
     parse_permutation,
     permutation_from_json,
     reverse_complement,
 )
 
-from conftest import signed_permutations
+from conftest import least_cycle_by_brute_force, marker_names, signed_permutations
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -206,3 +211,70 @@ class TestGenomes:
     def test_genome_is_hashable_on_canonical_form(self):
         assert len({parse_genome("C: a b"), parse_genome("C: b a")}) == 1
         assert Genome(()) == Genome(())
+
+
+def flip(markers):
+    return tuple((name, -sign) for name, sign in reversed(markers))
+
+
+class TestChromosomeForms:
+    def test_least_rotation_starts_at_the_least_item(self):
+        assert least_rotation((3, 1, 2)) == (1, 2, 3)
+        assert least_rotation((5,)) == (5,)
+        assert least_rotation(()) == ()
+
+    def test_canonical_forms_match_brute_force(self):
+        # every chromosome of up to 9 markers, against the least of all its
+        # rotations (circular only) and of its reverse complement's
+        rng = random.Random(23)
+        for _ in range(3000):
+            names = marker_names(rng.randint(1, 9))
+            rng.shuffle(names)
+            ms = tuple((name, rng.choice((1, -1))) for name in names)
+            assert Chromosome(LINEAR, ms).canonical() == (LINEAR, min(ms, flip(ms)))
+            expected = least_cycle_by_brute_force(ms, flip)
+            assert Chromosome(CIRCULAR, ms).canonical() == (CIRCULAR, expected)
+
+    def test_equality_and_hash_up_to_rotation_and_strand(self):
+        ms = (("a", 1), ("b", -1), ("c", 1), ("d", 1))
+        circular = Chromosome(CIRCULAR, ms)
+        same = [
+            Chromosome(CIRCULAR, ms[2:] + ms[:2]),
+            Chromosome(CIRCULAR, flip(ms)),
+            Chromosome(CIRCULAR, flip(ms[1:] + ms[:1])),
+        ]
+        for other in same:
+            assert other == circular and hash(other) == hash(circular)
+        linear = Chromosome(LINEAR, ms)
+        assert Chromosome(LINEAR, flip(ms)) == linear
+        assert hash(Chromosome(LINEAR, flip(ms))) == hash(linear)
+        assert Chromosome(LINEAR, ms[1:] + ms[:1]) != linear
+        assert linear != circular
+        assert Chromosome(CIRCULAR, (("a", 1), ("b", 1), ("c", 1))) != Chromosome(
+            CIRCULAR, (("a", 1), ("c", 1), ("b", 1))
+        )
+        assert circular.__eq__("C: a -b c d") is NotImplemented
+
+    def test_duplicate_marker_in_one_chromosome_rejected(self):
+        with pytest.raises(ValueError, match="duplicate marker 'a'"):
+            Chromosome(CIRCULAR, (("a", 1), ("b", 1), ("a", -1)))
+
+    def test_junctions_and_telomeres(self):
+        def ext(text):
+            name, side = text.split(".")
+            return Extremity(name, HEAD if side == "h" else TAIL)
+
+        linear = Chromosome(LINEAR, (("a", 1), ("b", -1), ("c", 1)))
+        assert linear.junctions() == [
+            (ext("a.h"), ext("b.h")),
+            (ext("b.t"), ext("c.t")),
+        ]
+        assert linear.telomeres() == (ext("a.t"), ext("c.h"))
+        circular = Chromosome(CIRCULAR, (("a", -1), ("b", 1)))
+        assert circular.junctions() == [
+            (ext("a.t"), ext("b.t")),
+            (ext("b.h"), ext("a.h")),
+        ]
+        assert circular.telomeres() == ()
+        single = Chromosome(CIRCULAR, (("a", 1),))
+        assert single.junctions() == [(ext("a.h"), ext("a.t"))]
