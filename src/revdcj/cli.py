@@ -157,9 +157,9 @@ def _step_caption(before: SignedPermutation, after: SignedPermutation) -> str:
         anchor.append("$ with 1")
     if n in fresh:
         anchor.append("%d with $" % n)
-    if anchor:
-        return _connection_phrase(anchor)
-    return "connecting nothing new"
+    # every greedy step resolves the vertex it strips (tests/test_sorter.py
+    # checks it), so a step with no fresh interior pair has one at an anchor
+    return _connection_phrase(anchor)
 
 
 def _cmd_sort(args) -> int:

@@ -9,6 +9,12 @@ which clears the edge to v), then rows[v] = 0.  The contract variant also
 removes v from the vertex set.  An lc-sequence applies strips in order,
 requiring a loop at each turn; it is full when the final graph has no
 edges and no loops left.
+
+The greedy lc-sequence strips, at each turn, the lowest looped vertex
+whose looped neighbors all score no higher, the score of v being
+|N^ul(v)| - |N^l(v)|.  That pick is a mask rule on the rows: score each
+looped vertex by two popcounts, OR into above[s] the looped vertices
+scoring above s, and v is a candidate iff its row misses above[score(v)].
 """
 
 from __future__ import annotations
@@ -76,22 +82,43 @@ class LcSequence:
         return len(self.vertices)
 
 
+def _candidates(rows, loops: int):
+    """Row positions of the ``ms_set`` candidates, lowest first.
+
+    The mask rule of the module docstring: a few integer operations per
+    looped vertex, whatever its degree.  Unlooped minus looped neighbors
+    is the open neighborhood's size minus twice its looped part.  Every
+    score is computed before the first candidate is yielded.
+    """
+    scored = []
+    level: dict[int, int] = {}  # score -> mask of the looped vertices with it
+    rest = loops
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        hood = rows[i] ^ low
+        s = hood.bit_count() - 2 * (hood & loops).bit_count()
+        scored.append((i, s))
+        level[s] = level.get(s, 0) | low
+    above = {}
+    higher = 0
+    for s in sorted(level, reverse=True):
+        above[s] = higher
+        higher |= level[s]
+    for i, s in scored:
+        if not rows[i] & above[s]:
+            yield i
+
+
 def ms_set(h: LoopedGraph) -> frozenset[int]:
     """Looped vertices whose looped neighbors all score no higher.
 
     The score of v is |N^ul(v)| - |N^l(v)|, its unlooped neighbors minus
-    its looped ones, read off v's row by two popcounts.
+    its looped ones.  v is a candidate iff its row misses the mask of the
+    looped vertices that score above it (see ``_candidates``).
     """
-    loops = h.loop_mask
-    score = {}
-    for i in _bits(loops):
-        hood = h.rows[i] ^ (1 << i)
-        score[i] = (hood & ~loops).bit_count() - (hood & loops).bit_count()
-    return frozenset(
-        h.vertices[i]
-        for i, s in score.items()
-        if all(score[j] <= s for j in _bits((h.rows[i] ^ (1 << i)) & loops))
-    )
+    return frozenset(h.vertices[i] for i in _candidates(h.rows, h.loop_mask))
 
 
 def has_full_lc_sequence(h: LoopedGraph) -> bool:
@@ -106,15 +133,16 @@ def greedy_strips(h: LoopedGraph):
     """The greedy lc-sequence as it goes: yield (v, graph after the strip).
 
     At each step the lowest-id vertex among the minimal-score candidates
-    (``ms_set``) is stripped, until no edge or loop is left.  Callers check
+    (the least of ``ms_set``) is stripped, until no edge or loop is left.
+    The scan stops at that first candidate.  Callers check
     ``has_full_lc_sequence`` first; the sorter reads one reversal off each
     pick.
     """
     while h.has_any_edge():
-        candidates = ms_set(h)
-        if not candidates:
+        i = next(_candidates(h.rows, h.loop_mask), None)
+        if i is None:
             raise AssertionError("sortable graph with edges but no candidates")
-        v = min(candidates)
+        v = h.vertices[i]
         h = lc_strip(h, v)
         yield v, h
 

@@ -25,7 +25,9 @@ from . import oracle, verify
 from .fourreg import encode_permutation, target_circuit_count
 from .graphs import adjacency_matrix, circle_graph
 from .localcomp import greedy_strips, has_full_lc_sequence
-from .localcomp import lc_strip, ms_set  # noqa: F401  bench/spans.py wraps these names
+# no code calls these two through this module: the import only keeps the
+# names that bench/spans.py wraps resolvable
+from .localcomp import lc_strip, ms_set  # noqa: F401
 from .perm import ReversalInterval, SignedPermutation, apply_reversal, is_identity
 from .perm import reverse_complement
 

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revdcj.graphs import adjacency_matrix, connected_components, looped_graph
 from revdcj.localcomp import (
     LcSequence,
     find_full_lc_sequence,
+    greedy_strips,
     has_full_lc_sequence,
     lc_contract,
     lc_strip,
@@ -48,6 +50,27 @@ def split_neighborhood(h, v):
 def score(h, v):
     looped, unlooped = split_neighborhood(h, v)
     return len(unlooped) - len(looped)
+
+
+def ms_set_by_definition(h):
+    """Looped vertices none of whose looped neighbors scores higher."""
+    looped = h.looped_vertices()
+    return {
+        v
+        for v in looped
+        if all(score(h, w) <= score(h, v) for w in h.neighbors(v) & looped)
+    }
+
+
+@st.composite
+def looped_graphs(draw, max_n):
+    """Seeded random looped graphs of varied size, density and loop share."""
+    return random_looped_graph(
+        draw(st.integers(1, max_n)),
+        draw(st.integers(0, 1 << 30)),
+        edge_p=draw(st.floats(0.02, 0.6)),
+        loop_p=draw(st.floats(0.1, 0.9)),
+    )
 
 
 def matrix_entries(h):
@@ -241,15 +264,30 @@ class TestScoresAndCandidates:
         )
         assert ms_set(h) == {0}
 
-    def test_ms_set_matches_the_score_definition(self):
+    def test_ms_set_matches_the_score_definition(self, small_sweep):
         for h, _ in looped_samples(200, max_n=10, seed=10):
-            looped = h.looped_vertices()
-            expected = {
-                v
-                for v in looped
-                if all(score(h, w) <= score(h, v) for w in h.neighbors(v) & looped)
-            }
-            assert ms_set(h) == expected
+            assert ms_set(h) == ms_set_by_definition(h)
+        # every graph the greedy loop passes through on the n <= 5 sweep,
+        # and its pick is the least candidate
+        walked = 0
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                if not row.sortable:
+                    continue
+                h = row.graph
+                for v, after in greedy_strips(h):
+                    expected = ms_set_by_definition(h)
+                    assert ms_set(h) == expected
+                    assert v == min(expected)
+                    h = after
+                    walked += 1
+                assert ms_set(h) == ms_set_by_definition(h) == set()
+        assert walked > 10000
+
+    @settings(max_examples=60, deadline=None)
+    @given(looped_graphs(max_n=80))
+    def test_ms_set_matches_the_score_definition_up_to_80_vertices(self, h):
+        assert ms_set(h) == ms_set_by_definition(h)
 
     def test_single_looped_vertex_is_the_candidate(self):
         assert ms_set(looped_graph([4], [(4,)])) == {4}

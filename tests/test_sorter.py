@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revdcj import graphs, oracle, sorter
+from revdcj import graphs, localcomp, oracle, sorter
 from revdcj.fourreg import encode_permutation
 from revdcj.graphs import LoopedGraph
-from revdcj.localcomp import has_full_lc_sequence, lc_strip, ms_set
+from revdcj.localcomp import greedy_strips, has_full_lc_sequence, lc_strip, ms_set
 from revdcj.perm import ReversalInterval, SignedPermutation, apply_reversal, identity
 from revdcj.sorter import (
     OrientationPair,
@@ -61,17 +61,38 @@ def scrambled_identities(draw, max_n, max_reversals):
     return p
 
 
+def framed_pairs(p):
+    """The neighbouring values of p framed as 0, p, n + 1."""
+    q = (0, *p.values, len(p) + 1)
+    return set(zip(q, q[1:]))
+
+
+def assert_steps_resolve_their_vertices(script, vertices):
+    """Each step joins the values v, v + 1 (read either way) of the vertex
+    v that the greedy lc-sequence strips there, which were apart before
+    it; so every ``sort`` caption names a fresh adjacency."""
+    assert len(vertices) == script.claimed_distance
+    pairs = [framed_pairs(script.source)] + [framed_pairs(q) for _, q in script.steps]
+    for k, v in enumerate(vertices):
+        joined = [(v, v + 1) in at or (-v - 1, -v) in at for at in pairs[k : k + 2]]
+        assert joined == [False, True], (script.source, script.steps[k][0], v)
+
+
 def assert_script_replays(p):
+    """Check p's script, if any, and return it."""
+    h = permutation_circle_graph(p)
     script = sort_by_reversals(p)
     if script is None:
-        assert not has_full_lc_sequence(permutation_circle_graph(p))
-        return
+        assert not has_full_lc_sequence(h)
+        return None
     cur = p
     for interval, expected in script.steps:
         cur = apply_reversal(cur, interval)
         assert cur == expected
     assert cur == identity(len(p))
     assert script.claimed_distance == distance_lower_bound(p)
+    assert_steps_resolve_their_vertices(script, [v for v, _ in greedy_strips(h)])
+    return script
 
 
 class TestCircuitCount:
@@ -164,6 +185,14 @@ class TestScriptsAtScale:
     def test_scripts_replay_on_uniform_permutations(self, p):
         assert_script_replays(p)
 
+    def test_uniform_permutation_at_n_1000(self):
+        rng = random.Random(1000)
+        values = list(range(1, 1001))
+        rng.shuffle(values)
+        p = SignedPermutation(tuple(v * rng.choice((1, -1)) for v in values))
+        with verifying(False):
+            assert assert_script_replays(p) is not None
+
     @settings(max_examples=25, deadline=None)
     @given(signed_permutations(max_n=300))
     def test_oriented_exactly_at_looped_vertices(self, p):
@@ -220,6 +249,26 @@ class TestSortByReversals:
         h = permutation_circle_graph(PI7)
         assert min(ms_set(h)) == 1
 
+    def test_every_step_resolves_the_vertex_it_strips(self, monkeypatch):
+        # the full n <= 6 sweep, recording the vertices the sorter's own
+        # greedy loop strips; the switch only adds rebuilds, which
+        # test_switch_changes_no_script_or_report covers
+        stripped = []
+
+        def recorded(h):
+            for v, after in greedy_strips(h):
+                stripped.append(v)
+                yield v, after
+
+        monkeypatch.setattr(sorter, "greedy_strips", recorded)
+        with verifying(False):
+            for n in range(7):
+                for p in oracle.enumerate_signed_permutations(n):
+                    stripped.clear()
+                    script = sort_by_reversals(p)
+                    if script is not None:
+                        assert_steps_resolve_their_vertices(script, stripped)
+
     def test_scripts_are_optimal_on_the_full_sweep(self, small_sweep):
         for rows in small_sweep.rows.values():
             for row in rows:
@@ -260,6 +309,19 @@ class TestVerifySwitch:
         assert sort_by_reversals(p) == script
         steps = script.claimed_distance
         assert calls == {"encode_permutation": 1 + steps, "circle_graph": 1 + steps}
+
+    def test_greedy_loop_picks_without_ms_set(self, monkeypatch):
+        # the loop reads its pick off the candidate kernel, never the
+        # public set, with the switch on or off
+        def no_ms_set(h):
+            raise AssertionError("the greedy loop called ms_set")
+
+        monkeypatch.setattr(localcomp, "ms_set", no_ms_set)
+        p = scrambled(30, 12, seed=4)
+        with verifying(False):
+            script = sort_by_reversals(p)
+        assert script is not None and script.claimed_distance >= 5
+        assert sort_by_reversals(p) == script
 
     def test_sabotaged_strip_fails_the_sort(self, monkeypatch):
         sabotage_lc_strip(monkeypatch)
