@@ -2,14 +2,27 @@
 
 A genome over a marker set is captured exactly by its adjacencies (pairs
 of marker extremities that sit together) and telomeres (extremities at
-linear chromosome ends).  A move cuts one or two breakpoints and rejoins
-the loose ends one of two ways; cutting one adjacency and leaving both
-ends loose is the fission case.  The distance is n - (c + i/2) where c
-counts the cycles and i the odd-length paths of the bipartite graph whose
-sides are the breakpoints of the two genomes and whose edges join the two
-homes of each extremity.  Extremities, and which of them meet at each
-junction or chromosome end, come from ``perm`` (``Chromosome.junctions``
-and ``Chromosome.telomeres``).
+linear chromosome ends).  Number the markers by their place among the
+sorted names (``perm.marker_numbers``): marker i has extremities 2i (tail)
+and 2i + 1 (head).  A genome is then one mate array, where ``mate[x]`` is
+the extremity across x's junction, or -1 when x is a telomere; which
+extremities meet is ``perm.Chromosome.junction_ids`` (``perm.Genome.mates``).
+
+The adjacency graph of two genomes has the breakpoints (adjacencies and
+telomeres) of each genome as nodes and one edge per extremity, joining its
+breakpoint in the one genome to its breakpoint in the other.  Adjacencies
+have degree two and telomeres degree one, so the components are cycles and
+paths, and crossing the two mate arrays in turn walks each of them: the
+paths from each telomere of either genome, then the cycles from whatever is
+left (``_walk``).  The distance is n - (c + i/2) for n markers, c cycles
+and i odd-length paths (Bergeron, Mixtacki & Stoye, "A unifying view of
+genome rearrangements", WABI 2006).  ``adjacency_graph`` lays the same walk
+out with named breakpoints for the CLI and its DOT export.
+
+A move cuts one or two breakpoints and rejoins the loose ends one of two
+ways; cutting one adjacency and leaving both ends loose is the fission
+case.  ``AdjacencySet``, ``apply_dcj`` and ``enumerate_dcj_moves`` make the
+moves for the search oracle.
 
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
@@ -20,8 +33,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fourreg import encode_circular_genomes, target_circuit_count, union_find
-from .perm import CIRCULAR, HEAD, LINEAR, TAIL, Chromosome, Extremity, Genome
+from .fourreg import encode_circular_genomes, target_circuit_count
+from .perm import (
+    CIRCULAR,
+    HEAD,
+    LINEAR,
+    SIDES,
+    TAIL,
+    Chromosome,
+    Extremity,
+    Genome,
+    breakpoint_ids,
+    in_named_order,
+    marker_numbers,
+)
 
 
 def head(marker: str) -> Extremity:
@@ -143,54 +168,98 @@ class AdjacencyGraph:
     @property
     def distance(self) -> int:
         """n - (c + i/2) for n markers, each of which gives two edges."""
-        i = self.odd_paths
-        if i % 2:
-            raise AssertionError("odd paths come in pairs")
-        return len(self.edges) // 2 - (self.cycles + i // 2)
+        return _distance(len(self.edges) // 2, self.cycles, self.odd_paths)
+
+
+def _mate_arrays(ga: Genome, gb: Genome) -> tuple[dict[str, int], list[int], list[int]]:
+    """The marker numbers, in sorted order, and each genome's mate array."""
+    names = ga.marker_names()
+    if names != gb.marker_names():
+        raise ValueError("marker sets differ")
+    number = marker_numbers(names)
+    return number, ga.mates(number), gb.mates(number)
+
+
+def _walk(ma: list[int], mb: list[int]):
+    """Yield each component of the adjacency graph once, as whether it is
+    a cycle and its extremities in walk order.  The paths come first, each
+    walked from a telomere of either genome, then the cycles."""
+    seen = bytearray(len(ma))
+
+    def trail(x, across, back):
+        found = []
+        while x >= 0 and not seen[x]:
+            seen[x] = 1
+            found.append(x)
+            x = across[x]
+            across, back = back, across
+        return found
+
+    for ends, across in ((ma, mb), (mb, ma)):
+        for x, mate in enumerate(ends):
+            if mate < 0 and not seen[x]:
+                yield False, trail(x, across, ends)
+    x = seen.find(0)
+    while x >= 0:
+        yield True, trail(x, mb, ma)
+        x = seen.find(0, x)
+
+
+def _distance(n: int, cycles: int, odd_paths: int) -> int:
+    if odd_paths % 2:
+        raise AssertionError("odd paths come in pairs")
+    return n - (cycles + odd_paths // 2)
+
+
+def _homes(nodes: list[tuple[int, ...]]) -> list[int]:
+    """The index of each extremity's node."""
+    home = [0] * sum(map(len, nodes))
+    for i, node in enumerate(nodes):
+        for x in node:
+            home[x] = i
+    return home
 
 
 def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
-    if ga.marker_names() != gb.marker_names():
-        raise ValueError("marker sets differ")
-    sa, sb = adjacency_set(ga), adjacency_set(gb)
-    a_nodes = sa.breakpoints()
-    b_nodes = sb.breakpoints()
-    a_home = {e: i for i, node in enumerate(a_nodes) for e in node}
-    b_home = {e: i for i, node in enumerate(b_nodes) for e in node}
-    extremities = sorted(a_home)
-    edges = tuple((a_home[e], b_home[e], e) for e in extremities)
+    """The adjacency graph with named nodes and edges, from ``_walk``.
 
-    n_nodes = len(a_nodes) + len(b_nodes)
-    roots = union_find(n_nodes, ((ai, len(a_nodes) + bi) for ai, bi, _ in edges))
-    members: dict[int, list[int]] = {}
-    for node, rep in enumerate(roots):
-        members.setdefault(rep, []).append(node)
-    edge_count: dict[int, int] = {}
-    for ai, _, _ in edges:
-        edge_count[roots[ai]] = edge_count.get(roots[ai], 0) + 1
+    Edges come in the order of their extremities (marker, then head before
+    tail) and components in the order of their least node of ga.
+    """
+    number, ma, mb = _mate_arrays(ga, gb)
+    named = [Extremity(name, side) for name in number for side in SIDES]
+    a_ids, b_ids = breakpoint_ids(ma), breakpoint_ids(mb)
+    a_home, b_home = _homes(a_ids), _homes(b_ids)
 
-    components = []
-    for rep in sorted(members, key=lambda r: min(members[r])):
-        nodes = members[rep]
-        a_members = tuple(i for i in nodes if i < len(a_nodes))
-        b_members = tuple(i - len(a_nodes) for i in nodes if i >= len(a_nodes))
-        has_telomere = any(len(a_nodes[i]) == 1 for i in a_members) or any(
-            len(b_nodes[i]) == 1 for i in b_members
-        )
-        components.append(
+    def nodes(ids):
+        return tuple(frozenset(named[x] for x in node) for node in ids)
+
+    edges = tuple((a_home[x], b_home[x], named[x]) for x in in_named_order(len(ma)))
+    components = sorted(
+        (
             GraphComponent(
-                kind="path" if has_telomere else "cycle",
-                n_edges=edge_count.get(rep, 0),
-                a_members=a_members,
-                b_members=b_members,
+                kind="cycle" if closed else "path",
+                n_edges=len(members),
+                a_members=tuple(sorted({a_home[x] for x in members})),
+                b_members=tuple(sorted({b_home[x] for x in members})),
             )
-        )
-    return AdjacencyGraph(a_nodes, b_nodes, edges, tuple(components))
+            for closed, members in _walk(ma, mb)
+        ),
+        key=lambda c: c.a_members[0],
+    )
+    return AdjacencyGraph(nodes(a_ids), nodes(b_ids), edges, tuple(components))
 
 
 def dcj_distance(ga: Genome, gb: Genome) -> int:
     """n - (c + i/2) over the adjacency graph; zero iff the genomes match."""
-    return adjacency_graph(ga, gb).distance
+    _, ma, mb = _mate_arrays(ga, gb)
+    cycles = odd_paths = 0
+    for closed, members in _walk(ma, mb):
+        if closed:
+            cycles += 1
+        else:
+            odd_paths += len(members) & 1
+    return _distance(len(ma) // 2, cycles, odd_paths)
 
 
 def circular_dcj_distance(ga: Genome, gb: Genome) -> int:

@@ -20,7 +20,7 @@ an anchor, insert intermediate segments) or a pair of all-circular genomes
 partition of the source chromosome(s) and the supplementary partition
 whose real-segment circuits spell the target.  Both lay out slots and
 target routes the same way, from closed junction sequences (``_expand``);
-a genome's junctions are read with ``perm.Chromosome.junctions``.
+a genome's junctions are read with ``perm.Chromosome.junction_ids``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,15 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .perm import CIRCULAR, Genome, SignedPermutation, least_rotation
+from .perm import (
+    CIRCULAR,
+    SIDES,
+    Genome,
+    SignedPermutation,
+    breakpoint_ids,
+    least_rotation,
+    marker_numbers,
+)
 
 ANCHOR = "anchor"
 REAL = "real"
@@ -89,30 +97,29 @@ class FourRegularGraph:
         return owner
 
     def n_components(self) -> int:
-        """Connected components; counted once per graph."""
+        """Connected components, counted once per graph by a depth-first
+        walk that crosses each vertex's four slots."""
         return self._n_components
 
     @cached_property
     def _n_components(self) -> int:
-        roots = union_find(self.n_vertices, ((a // 4, b // 4) for a, b in self.edges))
-        return len(set(roots))
-
-
-def union_find(n: int, pairs) -> list[int]:
-    """The root of each of 0..n-1 once every given pair is joined."""
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[ra] = rb
-    return [find(x) for x in range(n)]
+        partner = self.slot_partner()
+        seen = bytearray(self.n_vertices)
+        count = 0
+        for v in range(self.n_vertices):
+            if seen[v]:
+                continue
+            count += 1
+            seen[v] = 1
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for s in range(4 * u, 4 * u + 4):
+                    w = partner[s] >> 2
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
+        return count
 
 
 @dataclass(frozen=True)
@@ -295,17 +302,19 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
         for chrom in g.chromosomes:
             if chrom.shape != CIRCULAR:
                 raise ValueError("encoding requires all-circular chromosomes")
-    if ga.marker_names() != gb.marker_names():
+    names = ga.marker_names()
+    if names != gb.marker_names():
         raise ValueError("marker sets differ")
 
-    vertices = sorted(
-        {tuple(sorted(adj)) for c in gb.chromosomes for adj in c.junctions()}
-    )
-    vertex_of = {ext: v for v, adj in enumerate(vertices) for ext in adj}
+    number = marker_numbers(names)
+    vertices = breakpoint_ids(gb.mates(number))
+    vertex_of = [0] * (2 * len(number))
+    for v, (a, b) in enumerate(vertices):
+        vertex_of[a] = vertex_of[b] = v
 
     # junction after marker i, then after the intermediate that follows it
     cycles = [
-        [vertex_of[ext] for adj in chrom.junctions() for ext in adj]
+        [vertex_of[x] for adj in chrom.junction_ids(number) for x in adj]
         for chrom in ga.chromosomes
     ]
     edges, pb = _expand(cycles, len(vertices))
@@ -314,17 +323,16 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
     for chrom in ga.chromosomes:
         for name, _ in chrom.markers:
             edge_labels += (name, "I%d" % (len(edge_labels) // 2 + 1))
+    label = ["%s.%s" % (name, side[0]) for name in number for side in SIDES]
     graph = FourRegularGraph(
         n_vertices=len(vertices),
         edges=edges,
         edge_labels=tuple(edge_labels),
-        vertex_labels=tuple(
-            ",".join("%s.%s" % (m, side[0]) for m, side in adj) for adj in vertices
-        ),
+        vertex_labels=tuple(",".join(label[x] for x in adj) for adj in vertices),
         edge_kinds=(REAL, INTERMEDIATE) * (len(edges) // 2),
     )
     pa = CircuitPartition((1,) * len(vertices))
-    return PermEncoding(graph, pa, pb, len(ga.marker_names()))
+    return PermEncoding(graph, pa, pb, len(number))
 
 
 # ---------------------------------------------------------------------------

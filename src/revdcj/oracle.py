@@ -20,15 +20,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dcj import adjacency_set, genome_from_adjacency_set, AdjacencySet, Extremity
-from .dcj import HEAD, TAIL
+from .dcj import adjacency_set, genome_from_adjacency_set, AdjacencySet
 from .perm import (
+    HEAD,
+    SIDES,
+    Extremity,
     Genome,
     ReversalInterval,
     SignedPermutation,
     apply_reversal,
     identity,
     is_identity,
+    marker_numbers,
 )
 
 REVERSAL_CAP = 9
@@ -130,25 +133,23 @@ def reversal_distance_table(n: int) -> dict[tuple, int]:
 State = frozenset  # of tuples: (a, b) with a < b for adjacencies, (a,) telomeres
 
 
-def _marker_order(names) -> tuple[str, ...]:
-    return tuple(sorted(names))
-
-
-def _ext_id(order: tuple[str, ...], e: Extremity) -> int:
-    return 2 * order.index(e.marker) + (e.side == HEAD)
-
-
 def _ext_back(order: tuple[str, ...], i: int) -> Extremity:
-    return Extremity(order[i // 2], HEAD if i % 2 else TAIL)
+    return Extremity(order[i // 2], SIDES[i % 2])
 
 
-def _encode_state(order: tuple[str, ...], adj: AdjacencySet) -> State:
+def _encode_state(number: dict[str, int], adj: AdjacencySet) -> State:
+    """The state under ``perm.marker_numbers``: marker i's tail is 2i and
+    its head 2i + 1."""
+
+    def ext_id(e: Extremity) -> int:
+        return 2 * number[e.marker] + (e.side == HEAD)
+
     items = []
     for pair in adj.adjacencies:
-        a, b = sorted(_ext_id(order, e) for e in pair)
+        a, b = sorted(map(ext_id, pair))
         items.append((a, b))
     for t in adj.telomeres:
-        items.append((_ext_id(order, t),))
+        items.append((ext_id(t),))
     return frozenset(items)
 
 
@@ -209,9 +210,10 @@ def brute_dcj_distance(ga: Genome, gb: Genome) -> OracleResult:
         raise ValueError("marker sets differ")
     if len(names) > DCJ_CAP:
         raise ValueError("refusing brute force beyond %d markers" % DCJ_CAP)
-    order = _marker_order(names)
-    start = _encode_state(order, adjacency_set(ga))
-    goal = _encode_state(order, adjacency_set(gb))
+    number = marker_numbers(names)
+    order = tuple(number)
+    start = _encode_state(number, adjacency_set(ga))
+    goal = _encode_state(number, adjacency_set(gb))
     path, explored = _bidirectional_bfs(start, goal, _state_successors)
     genomes = tuple(_decode_state(order, s) for s in path)
     _validate_genome_path(genomes)

@@ -6,15 +6,20 @@ every entry in it.  Genomes are unordered collections of linear or
 circular chromosomes over string marker names, each name used once.
 
 The sequence rules that the DCJ and 4-regular views share live here once:
-which marker extremities meet at each junction of a chromosome
-(``Chromosome.junctions``) and at its loose ends (``Chromosome.telomeres``),
-and the least form of a cycle of distinct items (``least_rotation``), on
-which both a circular chromosome's and a circuit's canonical form rest.
+which marker extremities meet at each junction of a chromosome and at its
+loose ends, and the least form of a cycle of distinct items
+(``least_rotation``), on which both a circular chromosome's and a circuit's
+canonical form rest.  Extremities have two forms from one rule
+(``Chromosome._left_ends``): integer ids, where marker number i
+(``marker_numbers``) has tail 2i and head 2i + 1 (``Chromosome.junction_ids``,
+``Genome.mates``), and named ``Extremity`` pairs (``Chromosome.junctions``
+and ``Chromosome.telomeres``).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,6 +135,7 @@ Marker = tuple[str, int]  # (name, +1 or -1)
 
 HEAD = "head"
 TAIL = "tail"
+SIDES = (TAIL, HEAD)  # indexed by an extremity id's low bit
 
 
 class Extremity(NamedTuple):
@@ -137,12 +143,27 @@ class Extremity(NamedTuple):
     side: str
 
 
-def _ends(marker: Marker) -> tuple[Extremity, Extremity]:
-    """The extremities at a marker's left and right as its chromosome reads:
-    tail then head when it points forward, head then tail when reversed."""
-    name, sign = marker
-    tail, head = Extremity(name, TAIL), Extremity(name, HEAD)
-    return (tail, head) if sign > 0 else (head, tail)
+def marker_numbers(names: Iterable[str]) -> dict[str, int]:
+    """Each marker's place among the sorted names.  Marker number i has
+    extremity ids 2i (its tail) and 2i + 1 (its head)."""
+    return {name: i for i, name in enumerate(sorted(names))}
+
+
+def in_named_order(n_ids: int) -> list[int]:
+    """The extremity ids below n_ids in the order of their ``Extremity``
+    forms, which sort by marker and then head before tail: the order of
+    the ids x ^ 1."""
+    return [k ^ 1 for k in range(n_ids)]
+
+
+def breakpoint_ids(mate: list[int]) -> list[tuple[int, ...]]:
+    """A genome's breakpoints from its mate array: the adjacencies, then
+    the telomeres, each run and each adjacency ``in_named_order``."""
+    named = in_named_order(len(mate))
+    # a telomere's mate -1 reads as -2 under ^ 1, so it never passes the test
+    return [(x, mate[x]) for x in named if x ^ 1 < mate[x] ^ 1] + [
+        (x,) for x in named if mate[x] < 0
+    ]
 
 
 def _flip(markers: tuple[Marker, ...]) -> tuple[Marker, ...]:
@@ -201,21 +222,41 @@ class Chromosome:
             best = min(least_rotation(ms), least_rotation(_flip(ms)))
         return (self.shape, best)
 
-    def junctions(self) -> list[tuple[Extremity, Extremity]]:
+    def _left_ends(self, number: Mapping[str, int]) -> list[int]:
+        """The id of the extremity at each marker's left as the chromosome
+        reads, marker m having ids 2 * number[m] (tail) and the next one up
+        (head).  A marker pointing forward shows its tail on the left, a
+        reversed one its head; its right end is the other id, left ^ 1."""
+        return [2 * number[name] + (sign < 0) for name, sign in self.markers]
+
+    def junction_ids(self, number: Mapping[str, int]) -> list[tuple[int, int]]:
         """The (right end, left end) pair where each marker meets the next,
         in reading order; a circular chromosome closes with its last marker
         meeting its first."""
-        ends = [_ends(m) for m in self.markers]
-        if self.shape == CIRCULAR:
-            ends.append(ends[0])
-        return [(a[1], b[0]) for a, b in zip(ends, ends[1:])]
+        lefts = self._left_ends(number)
+        nexts = lefts[1:] + lefts[:1] if self.shape == CIRCULAR else lefts[1:]
+        return [(a ^ 1, b) for a, b in zip(lefts, nexts)]
+
+    def _own_numbers(self) -> tuple[dict[str, int], list[Extremity]]:
+        """The chromosome's own numbering, its markers in reading order,
+        and the named extremity of each id under it."""
+        number = {name: k for k, (name, _) in enumerate(self.markers)}
+        named = [Extremity(name, side) for name, _ in self.markers for side in SIDES]
+        return number, named
+
+    def junctions(self) -> list[tuple[Extremity, Extremity]]:
+        """``junction_ids`` as named extremities."""
+        number, named = self._own_numbers()
+        return [(named[a], named[b]) for a, b in self.junction_ids(number)]
 
     def telomeres(self) -> tuple[Extremity, ...]:
         """A linear chromosome's two loose ends, the left end of its first
         marker and the right end of its last; a circular one has none."""
         if self.shape == CIRCULAR:
             return ()
-        return _ends(self.markers[0])[0], _ends(self.markers[-1])[1]
+        number, named = self._own_numbers()
+        lefts = self._left_ends(number)
+        return named[lefts[0]], named[lefts[-1] ^ 1]
 
     def __eq__(self, other):
         if not isinstance(other, Chromosome):
@@ -253,6 +294,17 @@ class Genome:
 
     def canonical(self) -> tuple:
         return tuple(sorted(c.canonical() for c in self.chromosomes))
+
+    def mates(self, number: Mapping[str, int]) -> list[int]:
+        """The mate array under number, which numbers exactly this
+        genome's markers (see ``marker_numbers``): ``mate[x]`` is the
+        extremity across x's junction, or -1 when x is a telomere."""
+        mate = [-1] * (2 * len(number))
+        for chrom in self.chromosomes:
+            for a, b in chrom.junction_ids(number):
+                mate[a] = b
+                mate[b] = a
+        return mate
 
     def __eq__(self, other):
         if not isinstance(other, Genome):

@@ -1,8 +1,8 @@
 """Shared fixtures: the verify switch, on for the whole session, the
 exhaustive small-permutation sweep, random generators, the
-route-switching reference circle graph and the paper's sequence laws
-used across the suite, plus a terminal summary that prints one pass/fail
-line per acceptance criterion."""
+route-switching reference circle graph, the breakpoint reference adjacency
+graph and the paper's sequence laws used across the suite, plus a terminal
+summary that prints one pass/fail line per acceptance criterion."""
 
 import random
 import re
@@ -14,7 +14,15 @@ import pytest
 from hypothesis import strategies as st
 
 from revdcj import localcomp
-from revdcj.dcj import AdjacencySet, Extremity, HEAD, TAIL, genome_from_adjacency_set
+from revdcj.dcj import (
+    AdjacencyGraph,
+    AdjacencySet,
+    Extremity,
+    GraphComponent,
+    HEAD,
+    TAIL,
+    genome_from_adjacency_set,
+)
 from revdcj.dm import SetSystem, set_system
 from revdcj.fourreg import (
     CircuitPartition,
@@ -29,7 +37,7 @@ from revdcj.fourreg import (
 from revdcj.graphs import LoopedGraph, adjacency_matrix, looped_graph
 from revdcj.localcomp import LcSequence, has_full_lc_sequence, lc_strip
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
-from revdcj.perm import Genome, SignedPermutation
+from revdcj.perm import CIRCULAR, LINEAR, Chromosome, Genome, SignedPermutation
 from revdcj.sorter import circuit_count, permutation_circle_graph, sort_by_reversals
 from revdcj.verify import verifying
 
@@ -262,6 +270,95 @@ def random_genome(names, rng) -> Genome:
 
 def marker_names(n: int) -> list[str]:
     return list(string.ascii_lowercase[:n])
+
+
+def random_chromosomes(n: int, rng, circular_share: float) -> Genome:
+    """Markers m1..mn shuffled, signed at random and cut into one to
+    n // 10 + 1 chromosomes, each circular with the given chance."""
+    names = ["m%d" % i for i in range(1, n + 1)]
+    rng.shuffle(names)
+    k = rng.randint(1, n // 10 + 1)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    return Genome(
+        tuple(
+            Chromosome(
+                CIRCULAR if rng.random() < circular_share else LINEAR,
+                tuple((m, rng.choice((1, -1))) for m in names[a:b]),
+            )
+            for a, b in zip([0] + cuts, cuts + [n])
+        )
+    )
+
+
+def _reference_breakpoints(g: Genome) -> tuple[frozenset, ...]:
+    """Adjacencies, then telomeres, each run sorted as its extremities
+    sort.  A marker reads tail then head when it points forward, head then
+    tail when reversed; each marker meets the next across an adjacency,
+    a circular chromosome's last meets its first, and a linear one has a
+    telomere at each end."""
+    adjacencies, telomeres = [], []
+    for chrom in g.chromosomes:
+        ends = []
+        for name, sign in chrom.markers:
+            t, h = Extremity(name, TAIL), Extremity(name, HEAD)
+            ends.append((t, h) if sign > 0 else (h, t))
+        if chrom.shape == CIRCULAR:
+            ends.append(ends[0])
+        else:
+            telomeres += (ends[0][0], ends[-1][1])
+        adjacencies += (frozenset({a[1], b[0]}) for a, b in zip(ends, ends[1:]))
+    adjacencies.sort(key=lambda a: tuple(sorted(a)))
+    return tuple(adjacencies) + tuple(frozenset({t}) for t in sorted(telomeres))
+
+
+def reference_adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
+    """The adjacency graph built from named breakpoints, with home tables
+    and a union-find over the nodes: the referee for ``dcj.adjacency_graph``
+    and ``dcj.dcj_distance``, sharing no code with their walk."""
+    a_nodes = _reference_breakpoints(ga)
+    b_nodes = _reference_breakpoints(gb)
+    a_home = {e: i for i, node in enumerate(a_nodes) for e in node}
+    b_home = {e: i for i, node in enumerate(b_nodes) for e in node}
+    if set(a_home) != set(b_home):
+        raise ValueError("marker sets differ")
+    edges = tuple((a_home[e], b_home[e], e) for e in sorted(a_home))
+
+    root = list(range(len(a_nodes) + len(b_nodes)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for ai, bi, _ in edges:
+        ra, rb = find(ai), find(len(a_nodes) + bi)
+        if ra != rb:
+            root[ra] = rb
+    members: dict[int, list[int]] = {}
+    for node in range(len(root)):
+        members.setdefault(find(node), []).append(node)
+    edge_count: dict[int, int] = {}
+    for ai, _, _ in edges:
+        edge_count[find(ai)] = edge_count.get(find(ai), 0) + 1
+
+    components = []
+    for rep in sorted(members, key=lambda r: min(members[r])):
+        nodes = members[rep]
+        a_members = tuple(i for i in nodes if i < len(a_nodes))
+        b_members = tuple(i - len(a_nodes) for i in nodes if i >= len(a_nodes))
+        has_telomere = any(len(a_nodes[i]) == 1 for i in a_members) or any(
+            len(b_nodes[i]) == 1 for i in b_members
+        )
+        components.append(
+            GraphComponent(
+                kind="path" if has_telomere else "cycle",
+                n_edges=edge_count.get(rep, 0),
+                a_members=a_members,
+                b_members=b_members,
+            )
+        )
+    return AdjacencyGraph(a_nodes, b_nodes, edges, tuple(components))
 
 
 # ---------------------------------------------------------------------------

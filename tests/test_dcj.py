@@ -31,11 +31,19 @@ from revdcj.perm import (
     parse_genome,
 )
 
-from conftest import marker_names, random_genome
+from conftest import (
+    marker_names,
+    random_chromosomes,
+    random_genome,
+    reference_adjacency_graph,
+)
 
 # a linear+circular genome pair that exercises every component kind
 GA = parse_genome("L: b -d c\nC: a -e f")
 GB = parse_genome("L: a b c\nC: d e\nL: f")
+
+# marker counts for the random pairs checked against the referees
+REFEREE_SIZES = (1, 2, 3, 4, 5, 8, 13, 30, 100, 300, 1000)
 
 
 def genome_of_perm(p: SignedPermutation) -> Genome:
@@ -140,6 +148,29 @@ class TestAdjacencyGraph:
             )
             assert graph.odd_paths % 2 == 0
 
+    def test_walk_matches_the_breakpoint_referee(self):
+        rng = random.Random(22)
+        pairs = []
+        for _ in range(60):
+            names = marker_names(rng.randint(1, 8))
+            pairs.append((random_genome(names, rng), random_genome(names, rng)))
+        for n in REFEREE_SIZES:
+            for _ in range(10):
+                pairs.append(
+                    (
+                        random_chromosomes(n, rng, rng.choice((0.0, 0.5, 1.0))),
+                        random_chromosomes(n, rng, rng.random()),
+                    )
+                )
+        for ga, gb in pairs:
+            ref = reference_adjacency_graph(ga, gb)
+            graph = adjacency_graph(ga, gb)
+            assert graph.a_nodes == ref.a_nodes
+            assert graph.b_nodes == ref.b_nodes
+            assert graph.edges == ref.edges
+            assert graph.components == ref.components
+            assert dcj_distance(ga, gb) == ref.distance
+
     def test_dot_export_mentions_both_sides(self):
         dot = adjacency_graph_to_dot(adjacency_graph(GA, GB))
         assert dot.startswith("graph")
@@ -155,6 +186,11 @@ class TestDistance:
 
     def test_worked_example_distance(self):
         assert dcj_distance(GA, GB) == 5
+
+    def test_marker_sets_must_match(self):
+        for a, b in (("L: 1", "L: 2"), ("L: 1 2", "C: 1"), ("C: 1", "C: 1 2")):
+            with pytest.raises(ValueError, match="marker sets differ"):
+                dcj_distance(parse_genome(a), parse_genome(b))
 
     def test_worked_example_matches_exhaustive_search(self):
         assert brute_dcj_distance(GA, GB).distance == 5
@@ -207,6 +243,14 @@ class TestCircularDistance:
                 continue
             count += 1
             assert circular_dcj_distance(ga, gb) == dcj_distance(ga, gb)
+
+    def test_agrees_on_all_circular_pairs_up_to_1000_markers(self):
+        rng = random.Random(23)
+        for n in REFEREE_SIZES:
+            for _ in range(5):
+                ga = random_chromosomes(n, rng, 1.0)
+                gb = random_chromosomes(n, rng, 1.0)
+                assert circular_dcj_distance(ga, gb) == dcj_distance(ga, gb)
 
     def test_rejects_linear_chromosomes(self):
         with pytest.raises(ValueError):

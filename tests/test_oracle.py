@@ -10,7 +10,6 @@ from revdcj.oracle import (
     REVERSAL_CAP,
     TABLE_CAP,
     _encode_state,
-    _marker_order,
     _state_successors,
     all_reversals,
     brute_dcj_distance,
@@ -24,6 +23,7 @@ from revdcj.perm import (
     apply_reversal,
     identity,
     is_identity,
+    marker_numbers,
     parse_genome,
 )
 
@@ -35,9 +35,9 @@ PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 def plain_bfs_dcj_distance(ga, gb) -> int:
     """Reference for brute_dcj_distance: a one-sided BFS over the same
     genome states and moves."""
-    order = _marker_order(ga.marker_names())
-    start = _encode_state(order, adjacency_set(ga))
-    goal = _encode_state(order, adjacency_set(gb))
+    number = marker_numbers(ga.marker_names())
+    start = _encode_state(number, adjacency_set(ga))
+    goal = _encode_state(number, adjacency_set(gb))
     seen = {start}
     frontier = [start]
     distance = 0
