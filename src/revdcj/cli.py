@@ -46,7 +46,14 @@ from .graphs import (
 )
 from .localcomp import has_full_lc_sequence
 from .oracle import DCJ_CAP, brute_dcj_distance, brute_reversal_distance
-from .perm import CIRCULAR, Genome, SignedPermutation, parse_genome, parse_permutation
+from .perm import (
+    CIRCULAR,
+    Genome,
+    SignedPermutation,
+    apply_reversal,
+    parse_genome,
+    parse_permutation,
+)
 from .sorter import (
     POLICIES,
     both_orientation_distance,
@@ -370,8 +377,6 @@ def _cmd_oracle(args) -> int:
         print("distance: %d" % result.distance)
         print("states explored: %d" % result.states_explored)
         cur = p
-        from .perm import apply_reversal
-
         for i, r in enumerate(result.witness, start=1):
             cur = apply_reversal(cur, r)
             print("step %d: %s -> %s" % (i, r, cur))

@@ -21,8 +21,9 @@ out with named breakpoints for the CLI and its DOT export.
 
 A move cuts one or two breakpoints and rejoins the loose ends one of two
 ways; cutting one adjacency and leaving both ends loose is the fission
-case.  ``AdjacencySet``, ``apply_dcj`` and ``enumerate_dcj_moves`` make the
-moves for the search oracle.
+case.  ``apply_dcj`` and ``enumerate_dcj_moves`` make the moves on a copy
+of the mate array and read the result back with ``perm.genome_from_mates``;
+``adjacency_set`` lists a genome's breakpoints with named extremities.
 
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
@@ -35,15 +36,13 @@ from dataclasses import dataclass
 
 from .fourreg import encode_circular_genomes, target_circuit_count
 from .perm import (
-    CIRCULAR,
     HEAD,
-    LINEAR,
     SIDES,
     TAIL,
-    Chromosome,
     Extremity,
     Genome,
     breakpoint_ids,
+    genome_from_mates,
     in_named_order,
     marker_numbers,
 )
@@ -57,78 +56,20 @@ def tail(marker: str) -> Extremity:
     return Extremity(marker, TAIL)
 
 
-@dataclass(frozen=True)
-class AdjacencySet:
-    """Adjacencies and telomeres; a complete, order-free genome image."""
-
-    adjacencies: frozenset[frozenset[Extremity]]
-    telomeres: frozenset[Extremity]
-
-    def __post_init__(self):
-        seen: set[Extremity] = set()
-        for adj in self.adjacencies:
-            if len(adj) != 2:
-                raise ValueError("an adjacency joins two extremities")
-            for e in adj:
-                if e in seen:
-                    raise ValueError("extremity %r appears twice" % (e,))
-                seen.add(e)
-        for e in self.telomeres:
-            if e in seen:
-                raise ValueError("extremity %r appears twice" % (e,))
-            seen.add(e)
-        by_marker: dict[str, set[str]] = {}
-        for e in seen:
-            by_marker.setdefault(e.marker, set()).add(e.side)
-        for marker, sides in by_marker.items():
-            if sides != {HEAD, TAIL}:
-                raise ValueError("marker %r is missing an extremity" % (marker,))
-
-    def marker_names(self) -> frozenset[str]:
-        names = {e.marker for adj in self.adjacencies for e in adj}
-        names.update(e.marker for e in self.telomeres)
-        return frozenset(names)
-
-    def breakpoints(self) -> tuple[frozenset[Extremity], ...]:
-        """All cut sites: adjacencies first, then telomeres, sorted."""
-        adjs = sorted(self.adjacencies, key=lambda a: tuple(sorted(a)))
-        tels = sorted(self.telomeres)
-        return tuple(adjs) + tuple(frozenset({t}) for t in tels)
+def _named_extremities(number: dict[str, int]) -> list[Extremity]:
+    """The named form of each extremity id under number."""
+    return [Extremity(name, side) for name in number for side in SIDES]
 
 
-def adjacency_set(g: Genome) -> AdjacencySet:
-    return AdjacencySet(
-        frozenset(frozenset(j) for c in g.chromosomes for j in c.junctions()),
-        frozenset(e for c in g.chromosomes for e in c.telomeres()),
-    )
+def _named_nodes(named: list[Extremity], ids: list[tuple[int, ...]]):
+    return tuple(frozenset(named[x] for x in node) for node in ids)
 
 
-def genome_from_adjacency_set(adj: AdjacencySet) -> Genome:
-    """Rebuild the genome; inverse of adjacency_set up to chromosome order.
-
-    One walk per chromosome, linear ones from their telomeres first, then
-    circular ones from the tail of their least marker.  A walk follows
-    each marker to its other end and on across the adjacency there, and
-    stops at a telomere or back at a visited marker.
-    """
-    neighbor: dict[Extremity, Extremity] = {}
-    for a, b in adj.adjacencies:
-        neighbor[a], neighbor[b] = b, a
-    visited: set[str] = set()
-    chromosomes = []
-    for start in sorted(adj.telomeres) + [tail(m) for m in sorted(adj.marker_names())]:
-        if start.marker in visited:
-            continue
-        markers = []
-        cur = start
-        while cur is not None and cur.marker not in visited:
-            forward = cur.side == TAIL
-            markers.append((cur.marker, 1 if forward else -1))
-            visited.add(cur.marker)
-            cur = neighbor.get(Extremity(cur.marker, HEAD if forward else TAIL))
-        shape = LINEAR if start in adj.telomeres else CIRCULAR
-        chromosomes.append(Chromosome(shape, tuple(markers)))
-    return Genome(tuple(chromosomes))
+def adjacency_set(g: Genome) -> tuple[frozenset[Extremity], ...]:
+    """g's breakpoints with named extremities: the adjacencies, then the
+    telomeres, in the order of ``perm.breakpoint_ids``."""
+    number = marker_numbers(g.marker_names())
+    return _named_nodes(_named_extremities(number), breakpoint_ids(g.mates(number)))
 
 
 @dataclass(frozen=True)
@@ -227,13 +168,9 @@ def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
     tail) and components in the order of their least node of ga.
     """
     number, ma, mb = _mate_arrays(ga, gb)
-    named = [Extremity(name, side) for name in number for side in SIDES]
+    named = _named_extremities(number)
     a_ids, b_ids = breakpoint_ids(ma), breakpoint_ids(mb)
     a_home, b_home = _homes(a_ids), _homes(b_ids)
-
-    def nodes(ids):
-        return tuple(frozenset(named[x] for x in node) for node in ids)
-
     edges = tuple((a_home[x], b_home[x], named[x]) for x in in_named_order(len(ma)))
     components = sorted(
         (
@@ -247,7 +184,9 @@ def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
         ),
         key=lambda c: c.a_members[0],
     )
-    return AdjacencyGraph(nodes(a_ids), nodes(b_ids), edges, tuple(components))
+    return AdjacencyGraph(
+        _named_nodes(named, a_ids), _named_nodes(named, b_ids), edges, tuple(components)
+    )
 
 
 def dcj_distance(ga: Genome, gb: Genome) -> int:
@@ -288,99 +227,79 @@ def apply_dcj(
     single cut, the breakpoint must be an adjacency: rejoin 0 restores it
     and rejoin 1 splits it into two telomeres.
     """
-    state = adjacency_set(g)
-    bp1 = _normalize_breakpoint(state, cut1)
-    bp2 = _normalize_breakpoint(state, cut2) if cut2 is not None else None
+    number = marker_numbers(g.marker_names())
+    mate = g.mates(number)
+    id_of = {e: x for x, e in enumerate(_named_extremities(number))}
+    bp1 = _breakpoint(id_of, mate, cut1)
+    bp2 = _breakpoint(id_of, mate, cut2) if cut2 is not None else None
     if rejoin not in (0, 1):
         raise ValueError("rejoin picks pattern 0 or 1")
     if bp2 is not None and bp1 == bp2:
         raise ValueError("the two cuts name the same breakpoint")
     if bp2 is None and len(bp1) != 2:
         raise ValueError("a single cut needs an adjacency")
-
-    adjacencies = set(state.adjacencies)
-    telomeres = set(state.telomeres)
-
-    def remove(bp):
-        if len(bp) == 2:
-            adjacencies.remove(bp)
-        else:
-            telomeres.remove(next(iter(bp)))
-
-    def add_pair(a, b):
-        if a is None and b is None:
-            return
-        if a is None or b is None:
-            telomeres.add(a if b is None else b)
-        else:
-            adjacencies.add(frozenset({a, b}))
-
-    remove(bp1)
-    if bp2 is None:
-        w, x = sorted(bp1)
-        if rejoin == 0:
-            add_pair(w, x)
-        else:
-            add_pair(w, None)
-            add_pair(x, None)
-    else:
-        remove(bp2)
-        w, x = _loose_ends(bp1)
-        y, z = _loose_ends(bp2)
-        if rejoin == 0:
-            add_pair(w, y)
-            add_pair(x, z)
-        else:
-            add_pair(w, z)
-            add_pair(x, y)
-
-    return genome_from_adjacency_set(
-        AdjacencySet(frozenset(adjacencies), frozenset(telomeres))
-    )
+    return genome_from_mates(tuple(number), _rejoined(mate, bp1, bp2, rejoin))
 
 
-def _normalize_breakpoint(state: AdjacencySet, cut) -> frozenset[Extremity]:
-    bp = frozenset(
-        e if isinstance(e, Extremity) else Extremity(*e) for e in cut
-    )
+def _breakpoint(id_of: dict[Extremity, int], mate: list[int], cut) -> tuple[int, ...]:
+    """The ids of the breakpoint of mate that cut names, in named order."""
+    bp = frozenset(e if isinstance(e, Extremity) else Extremity(*e) for e in cut)
+    ids = tuple(sorted((id_of.get(e, -1) for e in bp), key=lambda x: x ^ 1))
     if len(bp) == 2:
-        if bp not in state.adjacencies:
+        a, b = ids
+        if a < 0 or b < 0 or mate[a] != b:
             raise ValueError("no adjacency %r" % (sorted(bp),))
     elif len(bp) == 1:
-        (e,) = bp
-        if e not in state.telomeres:
+        if ids[0] < 0 or mate[ids[0]] >= 0:
+            (e,) = bp
             raise ValueError("no telomere %r" % (e,))
     else:
         raise ValueError("a breakpoint holds one or two extremities")
-    return bp
+    return ids
 
 
-def _loose_ends(bp) -> tuple[Extremity | None, Extremity | None]:
-    if len(bp) == 2:
-        w, x = sorted(bp)
-        return w, x
-    (e,) = bp
-    return e, None
+def _rejoined(mate: list[int], bp1, bp2, rejoin: int) -> list[int]:
+    """A copy of mate with the move of ``apply_dcj`` made, the breakpoints
+    given as ids in named order and bp2 None for a single cut."""
+    mate = mate.copy()
+    if bp2 is None:
+        if rejoin:
+            for x in bp1:
+                mate[x] = -1
+        return mate
+    w, x = bp1 if len(bp1) == 2 else (bp1[0], None)
+    y, z = bp2 if len(bp2) == 2 else (bp2[0], None)
+    if rejoin:
+        y, z = z, y
+    for a, b in ((w, y), (x, z)):
+        if a is not None:
+            mate[a] = -1 if b is None else b
+        if b is not None:
+            mate[b] = -1 if a is None else a
+    return mate
 
 
 def enumerate_dcj_moves(g: Genome) -> tuple[Genome, ...]:
     """All genomes one move away, deduplicated, excluding g itself."""
-    state = adjacency_set(g)
-    breakpoints = state.breakpoints()
+    number = marker_numbers(g.marker_names())
+    names = tuple(number)
+    mate = g.mates(number)
+    breakpoints = breakpoint_ids(mate)
     own_key = g.canonical()
     seen: dict[tuple, Genome] = {}
 
-    def record(genome: Genome):
+    def record(bp1, bp2, rejoin):
+        genome = genome_from_mates(names, _rejoined(mate, bp1, bp2, rejoin))
         key = genome.canonical()
         if key != own_key and key not in seen:
             seen[key] = genome
 
     for i, bp1 in enumerate(breakpoints):
         if len(bp1) == 2:
-            record(apply_dcj(g, bp1, None, 1))
+            record(bp1, None, 1)
         for bp2 in breakpoints[i + 1 :]:
             for pattern in (0, 1):
-                record(apply_dcj(g, bp1, bp2, pattern))
+                record(bp1, bp2, pattern)
 
     return tuple(seen[k] for k in sorted(seen))
 

@@ -13,6 +13,10 @@ option raises them.
 
 Witnesses are replayed through the public apply functions before being
 returned; the search is never trusted to have recorded them correctly.
+A DCJ state is a frozenset of integer breakpoints, encoded straight from
+``perm.Genome.mates`` and decoded with ``perm.genome_from_mates``.  Its
+move generator, ``_state_successors``, is the oracle's own, so checking a
+witness against ``dcj.enumerate_dcj_moves`` compares two independent ones.
 """
 
 from __future__ import annotations
@@ -20,15 +24,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dcj import adjacency_set, genome_from_adjacency_set, AdjacencySet
+from .dcj import enumerate_dcj_moves
 from .perm import (
-    HEAD,
-    SIDES,
-    Extremity,
     Genome,
     ReversalInterval,
     SignedPermutation,
     apply_reversal,
+    genome_from_mates,
     identity,
     is_identity,
     marker_numbers,
@@ -133,37 +135,20 @@ def reversal_distance_table(n: int) -> dict[tuple, int]:
 State = frozenset  # of tuples: (a, b) with a < b for adjacencies, (a,) telomeres
 
 
-def _ext_back(order: tuple[str, ...], i: int) -> Extremity:
-    return Extremity(order[i // 2], SIDES[i % 2])
-
-
-def _encode_state(number: dict[str, int], adj: AdjacencySet) -> State:
-    """The state under ``perm.marker_numbers``: marker i's tail is 2i and
-    its head 2i + 1."""
-
-    def ext_id(e: Extremity) -> int:
-        return 2 * number[e.marker] + (e.side == HEAD)
-
-    items = []
-    for pair in adj.adjacencies:
-        a, b = sorted(map(ext_id, pair))
-        items.append((a, b))
-    for t in adj.telomeres:
-        items.append((ext_id(t),))
-    return frozenset(items)
+def _encode_state(mate: list[int]) -> State:
+    """The state of a genome's mate array (``perm.Genome.mates``)."""
+    adjacencies = [(x, y) for x, y in enumerate(mate) if x < y]
+    telomeres = [(x,) for x, y in enumerate(mate) if y < 0]
+    return frozenset(adjacencies + telomeres)
 
 
 def _decode_state(order: tuple[str, ...], state: State) -> Genome:
-    adjacencies = set()
-    telomeres = set()
+    mate = [-1] * (2 * len(order))
     for item in state:
         if len(item) == 2:
-            adjacencies.add(frozenset(_ext_back(order, i) for i in item))
-        else:
-            telomeres.add(_ext_back(order, item[0]))
-    return genome_from_adjacency_set(
-        AdjacencySet(frozenset(adjacencies), frozenset(telomeres))
-    )
+            a, b = item
+            mate[a], mate[b] = b, a
+    return genome_from_mates(order, mate)
 
 
 def _state_successors(state: State) -> set[State]:
@@ -212,8 +197,8 @@ def brute_dcj_distance(ga: Genome, gb: Genome) -> OracleResult:
         raise ValueError("refusing brute force beyond %d markers" % DCJ_CAP)
     number = marker_numbers(names)
     order = tuple(number)
-    start = _encode_state(number, adjacency_set(ga))
-    goal = _encode_state(number, adjacency_set(gb))
+    start = _encode_state(ga.mates(number))
+    goal = _encode_state(gb.mates(number))
     path, explored = _bidirectional_bfs(start, goal, _state_successors)
     genomes = tuple(_decode_state(order, s) for s in path)
     _validate_genome_path(genomes)
@@ -280,8 +265,6 @@ def _bidirectional_bfs(start, goal, successors):
 
 
 def _validate_genome_path(genomes: tuple[Genome, ...]):
-    from .dcj import enumerate_dcj_moves
-
     for a, b in zip(genomes, genomes[1:]):
         options = {g.canonical() for g in enumerate_dcj_moves(a)}
         if b.canonical() not in options:

@@ -9,17 +9,19 @@ The sequence rules that the DCJ and 4-regular views share live here once:
 which marker extremities meet at each junction of a chromosome and at its
 loose ends, and the least form of a cycle of distinct items
 (``least_rotation``), on which both a circular chromosome's and a circuit's
-canonical form rest.  Extremities have two forms from one rule
-(``Chromosome._left_ends``): integer ids, where marker number i
-(``marker_numbers``) has tail 2i and head 2i + 1 (``Chromosome.junction_ids``,
-``Genome.mates``), and named ``Extremity`` pairs (``Chromosome.junctions``
-and ``Chromosome.telomeres``).
+canonical form rest.  Extremities are integer ids, where marker number i
+(``marker_numbers``) has tail 2i and head 2i + 1, and the side rule
+(``Chromosome._left_ends``) says which meet: ``Chromosome.junction_ids``
+lists a chromosome's junctions, and ``Genome.mates`` makes a genome one
+mate array, its adjacencies and telomeres.  ``genome_from_mates`` reads a
+mate array back as a genome, and ``breakpoint_ids`` lists its breakpoints
+in the order of their named ``Extremity`` forms (``in_named_order``).
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -237,27 +239,6 @@ class Chromosome:
         nexts = lefts[1:] + lefts[:1] if self.shape == CIRCULAR else lefts[1:]
         return [(a ^ 1, b) for a, b in zip(lefts, nexts)]
 
-    def _own_numbers(self) -> tuple[dict[str, int], list[Extremity]]:
-        """The chromosome's own numbering, its markers in reading order,
-        and the named extremity of each id under it."""
-        number = {name: k for k, (name, _) in enumerate(self.markers)}
-        named = [Extremity(name, side) for name, _ in self.markers for side in SIDES]
-        return number, named
-
-    def junctions(self) -> list[tuple[Extremity, Extremity]]:
-        """``junction_ids`` as named extremities."""
-        number, named = self._own_numbers()
-        return [(named[a], named[b]) for a, b in self.junction_ids(number)]
-
-    def telomeres(self) -> tuple[Extremity, ...]:
-        """A linear chromosome's two loose ends, the left end of its first
-        marker and the right end of its last; a circular one has none."""
-        if self.shape == CIRCULAR:
-            return ()
-        number, named = self._own_numbers()
-        lefts = self._left_ends(number)
-        return named[lefts[0]], named[lefts[-1] ^ 1]
-
     def __eq__(self, other):
         if not isinstance(other, Chromosome):
             return NotImplemented
@@ -327,6 +308,33 @@ class Genome:
                 for c in self.chromosomes
             ]
         }
+
+
+def genome_from_mates(names: Sequence[str], mate: list[int]) -> Genome:
+    """The genome whose mate array is mate, names[i] naming marker i;
+    inverse of ``Genome.mates`` up to chromosome order and strand.
+
+    One walk per chromosome, linear ones from their telomeres
+    ``in_named_order`` first, then circular ones from the tail of their
+    least marker.  A walk follows each marker to its other end and on
+    across the junction there, and stops at a telomere or back at a
+    visited marker.
+    """
+    visited = bytearray(len(names))
+    telomeres = [x for x in in_named_order(len(mate)) if mate[x] < 0]
+    chromosomes = []
+    for start in telomeres + list(range(0, len(mate), 2)):
+        if visited[start >> 1]:
+            continue
+        markers = []
+        x = start
+        while x >= 0 and not visited[x >> 1]:
+            visited[x >> 1] = 1
+            markers.append((names[x >> 1], -1 if x & 1 else 1))
+            x = mate[x ^ 1]
+        shape = LINEAR if mate[start] < 0 else CIRCULAR
+        chromosomes.append(Chromosome(shape, tuple(markers)))
+    return Genome(tuple(chromosomes))
 
 
 def _parse_marker(tok: str) -> Marker:

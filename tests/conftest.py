@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 from revdcj import localcomp
 from revdcj.dcj import (
     AdjacencyGraph,
-    AdjacencySet,
     Extremity,
     GraphComponent,
     HEAD,
     TAIL,
-    genome_from_adjacency_set,
 )
 from revdcj.dm import SetSystem, set_system
 from revdcj.fourreg import (
@@ -37,7 +35,15 @@ from revdcj.fourreg import (
 from revdcj.graphs import LoopedGraph, adjacency_matrix, looped_graph
 from revdcj.localcomp import LcSequence, has_full_lc_sequence, lc_strip
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
-from revdcj.perm import CIRCULAR, LINEAR, Chromosome, Genome, SignedPermutation
+from revdcj.perm import (
+    CIRCULAR,
+    LINEAR,
+    Chromosome,
+    Genome,
+    SignedPermutation,
+    genome_from_mates,
+    marker_numbers,
+)
 from revdcj.sorter import circuit_count, permutation_circle_graph, sort_by_reversals
 from revdcj.verify import verifying
 
@@ -254,18 +260,16 @@ def random_looped_graph(n: int, seed: int, edge_p: float = 0.4, loop_p: float = 
 
 def random_genome(names, rng) -> Genome:
     """Uniformly scrambled pairing of all marker extremities."""
-    exts = [Extremity(m, s) for m in names for s in (HEAD, TAIL)]
+    number = marker_numbers(names)
+    exts = [2 * number[m] + side for m in names for side in (1, 0)]  # head, tail
     rng.shuffle(exts)
-    adjacencies, telomeres = set(), set()
+    mate = [-1] * len(exts)
     while exts:
         e = exts.pop()
         if exts and rng.random() < 0.75:
-            adjacencies.add(frozenset({e, exts.pop()}))
-        else:
-            telomeres.add(e)
-    return genome_from_adjacency_set(
-        AdjacencySet(frozenset(adjacencies), frozenset(telomeres))
-    )
+            f = exts.pop()
+            mate[e], mate[f] = f, e
+    return genome_from_mates(tuple(number), mate)
 
 
 def marker_names(n: int) -> list[str]:

@@ -122,6 +122,7 @@ class TestGoldenOutputs:
                 ("dcj", "--json", "C: a -b c; C: d e", "C: a b; C: c -e d"),
                 "dcj_circular.json",
             ),
+            (("oracle", "dcj", *README_DCJ), "oracle_dcj_worked.txt"),
         ],
     )
     def test_fourreg_and_dcj(self, capsys, argv, golden):

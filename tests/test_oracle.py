@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from revdcj.dcj import adjacency_set, dcj_distance, enumerate_dcj_moves
+from revdcj.dcj import dcj_distance, enumerate_dcj_moves
 from revdcj.oracle import (
     DCJ_CAP,
     REVERSAL_CAP,
     TABLE_CAP,
+    _decode_state,
     _encode_state,
     _state_successors,
     all_reversals,
@@ -36,8 +37,8 @@ def plain_bfs_dcj_distance(ga, gb) -> int:
     """Reference for brute_dcj_distance: a one-sided BFS over the same
     genome states and moves."""
     number = marker_numbers(ga.marker_names())
-    start = _encode_state(number, adjacency_set(ga))
-    goal = _encode_state(number, adjacency_set(gb))
+    start = _encode_state(ga.mates(number))
+    goal = _encode_state(gb.mates(number))
     seen = {start}
     frontier = [start]
     distance = 0
@@ -170,6 +171,16 @@ class TestBruteDcjDistance:
             assert len(res.witness) == res.distance + 1
             for before, after in zip(res.witness, res.witness[1:]):
                 assert after in enumerate_dcj_moves(before)
+
+    def test_move_generators_agree(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            names = marker_names(rng.randint(1, 5))
+            g = random_genome(names, rng)
+            number = marker_numbers(names)
+            successors = _state_successors(_encode_state(g.mates(number)))
+            decoded = {_decode_state(tuple(number), s).canonical() for s in successors}
+            assert {m.canonical() for m in enumerate_dcj_moves(g)} == decoded
 
     def test_strategies_agree(self):
         rng = random.Random(24)

@@ -9,11 +9,8 @@ from hypothesis import given, strategies as st
 from revdcj.perm import (
     CIRCULAR,
     Chromosome,
-    Extremity,
     Genome,
-    HEAD,
     LINEAR,
-    TAIL,
     ReversalInterval,
     SignedPermutation,
     apply_reversal,
@@ -21,6 +18,7 @@ from revdcj.perm import (
     identity,
     is_identity,
     least_rotation,
+    marker_numbers,
     parse_genome,
     parse_permutation,
     permutation_from_json,
@@ -260,21 +258,16 @@ class TestChromosomeForms:
             Chromosome(CIRCULAR, (("a", 1), ("b", 1), ("a", -1)))
 
     def test_junctions_and_telomeres(self):
-        def ext(text):
-            name, side = text.split(".")
-            return Extremity(name, HEAD if side == "h" else TAIL)
-
+        # a.t = 0, a.h = 1, b.t = 2, b.h = 3, c.t = 4, c.h = 5
+        number = marker_numbers("abc")
         linear = Chromosome(LINEAR, (("a", 1), ("b", -1), ("c", 1)))
-        assert linear.junctions() == [
-            (ext("a.h"), ext("b.h")),
-            (ext("b.t"), ext("c.t")),
-        ]
-        assert linear.telomeres() == (ext("a.t"), ext("c.h"))
+        assert linear.junction_ids(number) == [(1, 3), (2, 4)]
+        assert Genome((linear,)).mates(number) == [-1, 3, 4, 1, 2, -1]
+        number = marker_numbers("ab")
         circular = Chromosome(CIRCULAR, (("a", -1), ("b", 1)))
-        assert circular.junctions() == [
-            (ext("a.t"), ext("b.t")),
-            (ext("b.h"), ext("a.h")),
-        ]
-        assert circular.telomeres() == ()
+        assert circular.junction_ids(number) == [(0, 2), (3, 1)]
+        assert Genome((circular,)).mates(number) == [2, 3, 0, 1]
+        number = marker_numbers("a")
         single = Chromosome(CIRCULAR, (("a", 1),))
-        assert single.junctions() == [(ext("a.h"), ext("a.t"))]
+        assert single.junction_ids(number) == [(1, 0)]
+        assert Genome((single,)).mates(number) == [1, 0]
