@@ -21,6 +21,9 @@ partition of the source chromosome(s) and the supplementary partition
 whose real-segment circuits spell the target.  Both lay out slots and
 target routes the same way, from closed junction sequences (``_expand``);
 a genome's junctions are read with ``perm.Chromosome.junction_ids``.
+
+A graph checks its slot matching with one set over all slots, and walks
+the edges to name the first bad slot only when that check fails.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .perm import (
     CIRCULAR,
@@ -54,16 +58,21 @@ class FourRegularGraph:
     edge_kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if len(self.edges) * 2 != 4 * self.n_vertices:
+        n_slots = 4 * self.n_vertices
+        if len(self.edges) * 2 != n_slots:
             raise ValueError("edge count must be 2 * vertex count")
-        seen = set()
-        for a, b in self.edges:
-            for s in (a, b):
-                if not 0 <= s < 4 * self.n_vertices:
-                    raise ValueError("slot %d out of range" % s)
-                if s in seen:
-                    raise ValueError("slot %d matched twice" % s)
-                seen.add(s)
+        # 2n pairs match every slot exactly once iff together they cover all
+        # 4n slots; only when they do not, the walk names the first bad slot
+        slots = set(chain.from_iterable(self.edges))
+        if not (set(map(len, self.edges)) <= {2} and slots.issuperset(range(n_slots))):
+            seen = set()
+            for a, b in self.edges:
+                for s in (a, b):
+                    if not 0 <= s < n_slots:
+                        raise ValueError("slot %d out of range" % s)
+                    if s in seen:
+                        raise ValueError("slot %d matched twice" % s)
+                    seen.add(s)
         if not self.edge_labels:
             object.__setattr__(
                 self, "edge_labels", tuple("e%d" % i for i in range(len(self.edges)))
@@ -328,7 +337,7 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
         n_vertices=len(vertices),
         edges=edges,
         edge_labels=tuple(edge_labels),
-        vertex_labels=tuple(",".join(label[x] for x in adj) for adj in vertices),
+        vertex_labels=tuple(label[a] + "," + label[b] for a, b in vertices),
         edge_kinds=(REAL, INTERMEDIATE) * (len(edges) // 2),
     )
     pa = CircuitPartition((1,) * len(vertices))

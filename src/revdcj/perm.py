@@ -16,6 +16,12 @@ lists a chromosome's junctions, and ``Genome.mates`` makes a genome one
 mate array, its adjacencies and telomeres.  ``genome_from_mates`` reads a
 mate array back as a genome, and ``breakpoint_ids`` lists its breakpoints
 in the order of their named ``Extremity`` forms (``in_named_order``).
+
+``parse_genome`` and ``genome_from_json`` read each marker token once and
+find repeated markers with one set over the whole genome; they and
+``genome_from_mates`` then build through ``Chromosome._trusted`` and
+``Genome._trusted``, which validate again only under the verify switch.
+The public constructors keep every check.
 """
 
 from __future__ import annotations
@@ -216,6 +222,17 @@ class Chromosome:
                 raise ValueError("duplicate marker %r" % name)
             seen.add(name)
 
+    @classmethod
+    def _trusted(cls, shape: str, markers: tuple[Marker, ...]) -> Chromosome:
+        """A chromosome whose shape, names and signs its builder has
+        checked; it is validated again only while the verify switch is on."""
+        if verify.enabled():
+            return cls(shape, markers)
+        c = object.__new__(cls)
+        object.__setattr__(c, "shape", shape)
+        object.__setattr__(c, "markers", markers)
+        return c
+
     def canonical(self) -> tuple:
         ms = self.markers
         if self.shape == LINEAR:
@@ -267,6 +284,16 @@ class Genome:
                 if name in seen:
                     raise ValueError("duplicate marker %r" % name)
                 seen.add(name)
+
+    @classmethod
+    def _trusted(cls, chromosomes: tuple[Chromosome, ...]) -> Genome:
+        """A genome whose builder has checked that no marker repeats; it is
+        validated again only while the verify switch is on."""
+        if verify.enabled():
+            return cls(chromosomes)
+        g = object.__new__(cls)
+        object.__setattr__(g, "chromosomes", chromosomes)
+        return g
 
     def marker_names(self) -> frozenset[str]:
         return frozenset(
@@ -333,22 +360,48 @@ def genome_from_mates(names: Sequence[str], mate: list[int]) -> Genome:
             markers.append((names[x >> 1], -1 if x & 1 else 1))
             x = mate[x ^ 1]
         shape = LINEAR if mate[start] < 0 else CIRCULAR
-        chromosomes.append(Chromosome(shape, tuple(markers)))
-    return Genome(tuple(chromosomes))
+        chromosomes.append(Chromosome._trusted(shape, tuple(markers)))
+    return Genome._trusted(tuple(chromosomes))
 
 
-def _parse_marker(tok: str) -> Marker:
-    sign = 1
-    if tok.startswith("-"):
-        sign, tok = -1, tok[1:]
-    if not tok or tok.startswith("-"):
-        raise ValueError("bad marker token %r" % tok)
-    return (tok, sign)
+def _read_markers(tokens) -> tuple[Marker, ...]:
+    """Each token read once: "x" is marker x forward and "-x" is x reversed."""
+    markers = []
+    for tok in tokens:
+        if not isinstance(tok, str) or not tok:
+            raise ValueError("bad marker token %r" % (tok,))
+        if tok[0] == "-":
+            name = tok[1:]
+            if not name or name[0] == "-":
+                raise ValueError("bad marker token %r" % name)
+            markers.append((name, -1))
+        else:
+            markers.append((tok, 1))
+    return tuple(markers)
 
 
-def parse_genome(text: str) -> Genome:
-    """Parse one chromosome per line: "L: b -d c" (linear) or "C: a -e f"."""
-    chromosomes = []
+def _assemble(chromosomes: Iterable[tuple[str, tuple[Marker, ...]]]) -> Genome:
+    """The genome of (shape, markers) pairs, drawn one at a time so that
+    each source line's errors come in turn.  A marker repeated within one
+    chromosome raises as soon as its chromosome is drawn, one repeated
+    across chromosomes only after every chromosome is drawn."""
+    built = []
+    seen: set[str] = set()
+    count = 0
+    for shape, markers in chromosomes:
+        names = dict(markers)
+        if shape not in (LINEAR, CIRCULAR) or not names or len(names) < len(markers):
+            Chromosome(shape, markers)  # raises, naming the first fault
+        seen.update(names)
+        count += len(names)
+        built.append(Chromosome._trusted(shape, markers))
+    if len(seen) < count:
+        Genome(tuple(built))  # raises, naming the first repeat
+    return Genome._trusted(tuple(built))
+
+
+def _text_chromosomes(text: str):
+    """The (shape, markers) pair of each non-blank line."""
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -363,16 +416,29 @@ def parse_genome(text: str) -> Genome:
             shape = CIRCULAR
         else:
             raise ValueError("unknown chromosome prefix %r" % prefix)
-        markers = tuple(_parse_marker(tok) for tok in rest.split())
+        markers = _read_markers(rest.split())
         if not markers:
             raise ValueError("empty chromosome: %r" % line)
-        chromosomes.append(Chromosome(shape, markers))
-    return Genome(tuple(chromosomes))
+        yield shape, markers
+
+
+def parse_genome(text: str) -> Genome:
+    """Parse one chromosome per line: "L: b -d c" (linear) or "C: a -e f"."""
+    return _assemble(_text_chromosomes(text))
+
+
+def _json_chromosomes(data: dict):
+    """The (shape, markers) pair of each entry of data["chromosomes"]."""
+    for entry in data["chromosomes"]:
+        tokens = entry["markers"]
+        if not isinstance(tokens, (list, tuple)):
+            raise ValueError(
+                "chromosome markers must be a list of tokens, not %r" % (tokens,)
+            )
+        markers = _read_markers(tokens)
+        yield entry["shape"], markers
 
 
 def genome_from_json(data: dict) -> Genome:
-    chromosomes = []
-    for entry in data["chromosomes"]:
-        markers = tuple(_parse_marker(tok) for tok in entry["markers"])
-        chromosomes.append(Chromosome(entry["shape"], markers))
-    return Genome(tuple(chromosomes))
+    """Read the form ``Genome.to_json`` writes."""
+    return _assemble(_json_chromosomes(data))

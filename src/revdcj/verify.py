@@ -5,8 +5,10 @@ Off by default.  While it is on, these run as well:
 - the sorter's per-step rebuild of the circle graph from the new
   permutation, compared with the strip the greedy loop took;
 - the rank check on the length of ``localcomp.find_full_lc_sequence``;
-- the full validation of the rows and permutations that the library
-  builds itself (``LoopedGraph._trusted``, ``SignedPermutation._trusted``).
+- the full validation of the rows, permutations and genomes that the
+  library builds itself (``LoopedGraph._trusted``,
+  ``SignedPermutation._trusted``, ``Chromosome._trusted`` and
+  ``Genome._trusted``: the genome parsers and ``genome_from_mates``).
 
 The test suite runs with it on; the CLI turns it on with ``--verify``.
 The ``rank == n + 1 - c`` check in ``sorter.reversal_distance`` runs

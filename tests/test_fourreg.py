@@ -68,6 +68,29 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             FourRegularGraph(1, ((0, 1), (2, 4)))
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (1, ((0, 1), (-1, 3)), "slot -1 out of range"),
+            (1, ((0, 1), (2, 4)), "slot 4 out of range"),
+            (2, ((0, 1), (2, 3), (4, 5), (6, 8)), "slot 8 out of range"),
+            (1, ((0, 1), (1, 3)), "slot 1 matched twice"),
+            (1, ((2, 2), (0, 1)), "slot 2 matched twice"),
+            # several faults: the first slot in edge order is named
+            (2, ((0, 1), (3, 9), (1, -2), (4, 5)), "slot 9 out of range"),
+            (2, ((0, 1), (2, 1), (9, 3), (4, 4)), "slot 1 matched twice"),
+            (2, ((7, 6), (5, 4), (3, 7), (8, 0)), "slot 7 matched twice"),
+        ],
+    )
+    def test_slot_messages_name_the_first_bad_slot(self, n, edges, message):
+        with pytest.raises(ValueError) as caught:
+            FourRegularGraph(n, edges)
+        assert str(caught.value) == message
+
+    def test_every_edge_is_a_slot_pair(self):
+        with pytest.raises(ValueError):
+            FourRegularGraph(1, ((0, 1, 2), (3,)))
+
     def test_default_labels_fill_in(self):
         g = FourRegularGraph(1, ((0, 1), (2, 3)))
         assert g.edge_labels == ("e0", "e1")

@@ -25,7 +25,14 @@ from revdcj.perm import (
     reverse_complement,
 )
 
-from conftest import least_cycle_by_brute_force, marker_names, signed_permutations
+from revdcj.verify import verifying
+
+from conftest import (
+    least_cycle_by_brute_force,
+    marker_names,
+    random_chromosomes,
+    signed_permutations,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -271,3 +278,92 @@ class TestChromosomeForms:
         single = Chromosome(CIRCULAR, (("a", 1),))
         assert single.junction_ids(number) == [(1, 0)]
         assert Genome((single,)).mates(number) == [1, 0]
+
+
+# Malformed genome texts and JSON dicts with the exact error each raises:
+# (input, exception type, message), or (input, None, the parsed genome's
+# text) for inputs that parse.  Within a line every token is read before
+# the line's own duplicates are checked; a duplicate within a line raises
+# when its line is read, one across lines only after every line parsed.
+PARSE_ERRORS = [
+    ("L: a a\nX: b", ValueError, "duplicate marker 'a'"),
+    ("L: a\nC: a\nL: --b", ValueError, "bad marker token '-b'"),
+    ("L: a b a\nQ: c", ValueError, "duplicate marker 'a'"),
+    ("L:", ValueError, "empty chromosome: 'L:'"),
+    ("C:   ", ValueError, "empty chromosome: 'C:'"),
+    ("L: -", ValueError, "bad marker token ''"),
+    ("L: --b", ValueError, "bad marker token '-b'"),
+    ("L: a -", ValueError, "bad marker token ''"),
+    ("a b c", ValueError, "chromosome line without L:/C: prefix: 'a b c'"),
+    ("X: a b", ValueError, "unknown chromosome prefix 'X'"),
+    (": a", ValueError, "unknown chromosome prefix ''"),
+    ("l: a", ValueError, "unknown chromosome prefix 'l'"),
+    ("\n  \nL: a\n\nX: b", ValueError, "unknown chromosome prefix 'X'"),
+    ("L: a\nC: b\nL: a", ValueError, "duplicate marker 'a'"),
+    ("L: a --b a", ValueError, "bad marker token '-b'"),
+    ("L: a a\nL: --b", ValueError, "duplicate marker 'a'"),
+    ("L: a\nL: b\nC: b a", ValueError, "duplicate marker 'b'"),
+    ("L: a b\nC: c\nL: c b", ValueError, "duplicate marker 'c'"),
+    ("L: a\nL: a\nL: b b", ValueError, "duplicate marker 'b'"),
+    ("L: a\nL: a\nL:", ValueError, "empty chromosome: 'L:'"),
+    ("L: a\nL: -a\nfoo", ValueError, "chromosome line without L:/C: prefix: 'foo'"),
+    ("\n\n  \n", None, ""),
+    ("  L :  a  -b \n\n C:c", None, "L: a -b\nC: c"),
+    ({"chromosomes": [{"shape": "loop", "markers": []}]},
+     ValueError, "unknown chromosome shape 'loop'"),
+    ({"chromosomes": [{"shape": "linear", "markers": []}]},
+     ValueError, "empty chromosome"),
+    ({"chromosomes": [{"shape": "loop", "markers": ["--b"]}]},
+     ValueError, "bad marker token '-b'"),
+    ({"chromosomes": [{"shape": "linear", "markers": [""]}]},
+     ValueError, "bad marker token ''"),
+    ({"chromosomes": [{"shape": "linear", "markers": ["a", "-a"]}]},
+     ValueError, "duplicate marker 'a'"),
+    ({"chromosomes": [{"shape": "linear", "markers": ["a"]},
+                      {"shape": "circular", "markers": ["b", "-a"]}]},
+     ValueError, "duplicate marker 'a'"),
+    ({"chromosomes": [{"shape": "linear", "markers": "ab"}]},
+     ValueError, "chromosome markers must be a list of tokens, not 'ab'"),
+    ({"chromosomes": [{"shape": "linear", "markers": ["a", 5]}]},
+     ValueError, "bad marker token 5"),
+    ({"chromosomes": [{"shape": "linear", "markers": [None]}]},
+     ValueError, "bad marker token None"),
+    ({"chromosomes": [{"shape": "linear", "markers": ["--b", 5]}]},
+     ValueError, "bad marker token '-b'"),
+    ({"chromosomes": [{"shape": "linear"}]}, KeyError, "'markers'"),
+    ({}, KeyError, "'chromosomes'"),
+]
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["verify", "fast"])
+@pytest.mark.parametrize(
+    "source, error, message",
+    PARSE_ERRORS,
+    ids=[str(i) for i in range(len(PARSE_ERRORS))],
+)
+def test_parse_error_table(source, error, message, on):
+    parse = genome_from_json if isinstance(source, dict) else parse_genome
+    with verifying(on):
+        if error is None:
+            assert str(parse(source)) == message
+            return
+        with pytest.raises(error) as caught:
+            parse(source)
+    assert str(caught.value) == message
+    assert type(caught.value) is error
+
+
+def test_fast_parse_matches_the_validated_parse():
+    """Tier-1 runs with the verify switch on; this runs the trusted path
+    that the CLI and the bench take, on seeded genomes of 1-2000 markers."""
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_chromosomes(round(2000 ** rng.random()), rng, rng.random())
+        number = marker_numbers(g.marker_names())
+        text, data = str(g), g.to_json()
+        forms = []
+        for on in (True, False):
+            with verifying(on):
+                for parsed in (parse_genome(text), genome_from_json(data)):
+                    forms.append((str(parsed), parsed.canonical(), parsed.mates(number)))
+        assert forms == [(text, g.canonical(), g.mates(number))] * 4

@@ -10,7 +10,16 @@ from revdcj import graphs, localcomp, oracle, sorter
 from revdcj.fourreg import encode_permutation
 from revdcj.graphs import LoopedGraph
 from revdcj.localcomp import greedy_strips, has_full_lc_sequence, lc_strip, ms_set
-from revdcj.perm import ReversalInterval, SignedPermutation, apply_reversal, identity
+from revdcj.perm import (
+    CIRCULAR,
+    LINEAR,
+    Chromosome,
+    Genome,
+    ReversalInterval,
+    SignedPermutation,
+    apply_reversal,
+    identity,
+)
 from revdcj.sorter import (
     OrientationPair,
     POLICIES,
@@ -338,13 +347,21 @@ class TestVerifySwitch:
 
     def test_trusted_constructors_validate_under_the_switch(self):
         asymmetric = ((0, 1), (0b10, 0))
+        repeat = (("a", 1), ("a", -1))
+        apart = (Chromosome(LINEAR, (("a", 1),)), Chromosome(CIRCULAR, (("a", -1),)))
         with verifying(False):
             LoopedGraph._trusted(*asymmetric)
             SignedPermutation._trusted((1, 1))
+            Chromosome._trusted(LINEAR, repeat)
+            Genome._trusted(apart)
         with pytest.raises(ValueError):
             LoopedGraph._trusted(*asymmetric)
         with pytest.raises(ValueError):
             SignedPermutation._trusted((1, 1))
+        with pytest.raises(ValueError, match="duplicate marker 'a'"):
+            Chromosome._trusted(LINEAR, repeat)
+        with pytest.raises(ValueError, match="duplicate marker 'a'"):
+            Genome._trusted(apart)
 
     def test_switch_changes_no_script_or_report(self, small_sweep):
         for rows in small_sweep.rows.values():
