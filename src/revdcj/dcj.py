@@ -2,11 +2,16 @@
 
 A genome over a marker set is captured exactly by its adjacencies (pairs
 of marker extremities that sit together) and telomeres (extremities at
-linear chromosome ends).  Number the markers by their place among the
-sorted names (``perm.marker_numbers``): marker i has extremities 2i (tail)
-and 2i + 1 (head).  A genome is then one mate array, where ``mate[x]`` is
-the extremity across x's junction, or -1 when x is a telomere; which
-extremities meet is ``perm.Chromosome.junction_ids`` (``perm.Genome.mates``).
+linear chromosome ends).  Number the markers 0..n-1: marker i has
+extremities 2i (tail) and 2i + 1 (head).  A genome is then one mate array,
+where ``mate[x]`` is the extremity across x's junction, or -1 when x is a
+telomere; which extremities meet is ``perm.Chromosome.junction_ids``
+(``perm.Genome.mates``).  A count does not depend on the numbering, so
+``dcj_distance`` numbers the markers in ga's reading order
+(``perm.pair_numbers``, which also checks that both genomes hold the same
+markers).  Outputs that show names keep the order of the sorted names
+(``perm.marker_numbers``): ``adjacency_graph``, ``adjacency_set`` and the
+moves.
 
 The adjacency graph of two genomes has the breakpoints (adjacencies and
 telomeres) of each genome as nodes and one edge per extremity, joining its
@@ -27,33 +32,29 @@ of the mate array and read the result back with ``perm.genome_from_mates``;
 
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
-that route is kept as an independent cross-check.
+that route is kept as an independent cross-check, which counts on the
+encoding's label-free layout (``fourreg.circular_target_count``) and shares
+no code with ``_walk``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fourreg import encode_circular_genomes, target_circuit_count
+from .fourreg import circular_target_count
+# no code calls these two through this module: the import only keeps the
+# names that bench/spans.py wraps resolvable
+from .fourreg import encode_circular_genomes, target_circuit_count  # noqa: F401
 from .perm import (
-    HEAD,
     SIDES,
-    TAIL,
     Extremity,
     Genome,
     breakpoint_ids,
     genome_from_mates,
     in_named_order,
     marker_numbers,
+    pair_numbers,
 )
-
-
-def head(marker: str) -> Extremity:
-    return Extremity(marker, HEAD)
-
-
-def tail(marker: str) -> Extremity:
-    return Extremity(marker, TAIL)
 
 
 def _named_extremities(number: dict[str, int]) -> list[Extremity]:
@@ -112,15 +113,6 @@ class AdjacencyGraph:
         return _distance(len(self.edges) // 2, self.cycles, self.odd_paths)
 
 
-def _mate_arrays(ga: Genome, gb: Genome) -> tuple[dict[str, int], list[int], list[int]]:
-    """The marker numbers, in sorted order, and each genome's mate array."""
-    names = ga.marker_names()
-    if names != gb.marker_names():
-        raise ValueError("marker sets differ")
-    number = marker_numbers(names)
-    return number, ga.mates(number), gb.mates(number)
-
-
 def _walk(ma: list[int], mb: list[int]):
     """Yield each component of the adjacency graph once, as whether it is
     a cycle and its extremities in walk order.  The paths come first, each
@@ -167,7 +159,8 @@ def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
     Edges come in the order of their extremities (marker, then head before
     tail) and components in the order of their least node of ga.
     """
-    number, ma, mb = _mate_arrays(ga, gb)
+    number = marker_numbers(pair_numbers(ga, gb))
+    ma, mb = ga.mates(number), gb.mates(number)
     named = _named_extremities(number)
     a_ids, b_ids = breakpoint_ids(ma), breakpoint_ids(mb)
     a_home, b_home = _homes(a_ids), _homes(b_ids)
@@ -190,8 +183,13 @@ def adjacency_graph(ga: Genome, gb: Genome) -> AdjacencyGraph:
 
 
 def dcj_distance(ga: Genome, gb: Genome) -> int:
-    """n - (c + i/2) over the adjacency graph; zero iff the genomes match."""
-    _, ma, mb = _mate_arrays(ga, gb)
+    """n - (c + i/2) over the adjacency graph; zero iff the genomes match.
+
+    The count needs no names, so the markers are numbered in ga's reading
+    order (``perm.pair_numbers``) rather than sorted.
+    """
+    number = pair_numbers(ga, gb)
+    ma, mb = ga.mates(number), gb.mates(number)
     cycles = odd_paths = 0
     for closed, members in _walk(ma, mb):
         if closed:
@@ -205,10 +203,11 @@ def circular_dcj_distance(ga: Genome, gb: Genome) -> int:
     """Distance for all-circular genomes via the 4-regular encoding.
 
     Independent of the adjacency graph: n minus the number of
-    intermediate-only circuits of the target partition.
+    intermediate-only circuits of the target partition, counted on the
+    label-free layout of ``fourreg.encode_circular_genomes``.
     """
-    enc = encode_circular_genomes(ga, gb)
-    return enc.n - target_circuit_count(enc.graph, enc.pb)
+    n, intermediate_only = circular_target_count(ga, gb)
+    return n - intermediate_only
 
 
 def apply_dcj(

@@ -34,6 +34,7 @@ from .perm import (
     identity,
     is_identity,
     marker_numbers,
+    pair_numbers,
 )
 
 REVERSAL_CAP = 9
@@ -190,12 +191,9 @@ def brute_dcj_distance(ga: Genome, gb: Genome) -> OracleResult:
     Moves are self-inverse as a set (every move can be undone by one
     move), so the search runs from both ends.
     """
-    names = ga.marker_names()
-    if names != gb.marker_names():
-        raise ValueError("marker sets differ")
-    if len(names) > DCJ_CAP:
+    number = marker_numbers(pair_numbers(ga, gb))
+    if len(number) > DCJ_CAP:
         raise ValueError("refusing brute force beyond %d markers" % DCJ_CAP)
-    number = marker_numbers(names)
     order = tuple(number)
     start = _encode_state(ga.mates(number))
     goal = _encode_state(gb.mates(number))

@@ -10,18 +10,25 @@ which marker extremities meet at each junction of a chromosome and at its
 loose ends, and the least form of a cycle of distinct items
 (``least_rotation``), on which both a circular chromosome's and a circuit's
 canonical form rest.  Extremities are integer ids, where marker number i
-(``marker_numbers``) has tail 2i and head 2i + 1, and the side rule
-(``Chromosome._left_ends``) says which meet: ``Chromosome.junction_ids``
-lists a chromosome's junctions, and ``Genome.mates`` makes a genome one
-mate array, its adjacencies and telomeres.  ``genome_from_mates`` reads a
-mate array back as a genome, and ``breakpoint_ids`` lists its breakpoints
-in the order of their named ``Extremity`` forms (``in_named_order``).
+has tail 2i and head 2i + 1, and the side rule (``Chromosome._left_ends``)
+says which meet: ``Chromosome.junction_ids`` lists a chromosome's
+junctions, and ``Genome.mates`` writes a genome as one mate array, its
+adjacencies and telomeres, in one pass per chromosome.  Two numberings
+exist.  ``marker_numbers`` sorts the names, for outputs that show them;
+``pair_numbers`` takes one genome's reading order, for counts over a pair
+that need no names, and checks that the other genome holds the same
+markers.  ``genome_from_mates`` reads a mate array back as a genome, and
+``breakpoint_ids`` lists its breakpoints in the order of their named
+``Extremity`` forms (``in_named_order``).
 
 ``parse_genome`` and ``genome_from_json`` read each marker token once and
 find repeated markers with one set over the whole genome; they and
 ``genome_from_mates`` then build through ``Chromosome._trusted`` and
 ``Genome._trusted``, which validate again only under the verify switch.
-The public constructors keep every check.
+The public constructors keep every check.  A marker name holds no
+whitespace, or its text form would read back as other markers; text
+tokens come from ``str.split``, so only the JSON reader and the public
+constructor check it.
 """
 
 from __future__ import annotations
@@ -157,6 +164,24 @@ def marker_numbers(names: Iterable[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(sorted(names))}
 
 
+def pair_numbers(ga: Genome, gb: Genome) -> dict[str, int]:
+    """Each marker's place in ga's reading order, for a count that does
+    not depend on how the markers are numbered.  Raises unless gb holds
+    exactly ga's markers: as neither genome repeats a marker, it is enough
+    that every marker of gb is numbered and the two counts agree."""
+    names = [name for chrom in ga.chromosomes for name, _ in chrom.markers]
+    number = dict(zip(names, range(len(names))))
+    count = 0
+    for chrom in gb.chromosomes:
+        for name, _ in chrom.markers:
+            if name not in number:
+                raise ValueError("marker sets differ")
+        count += len(chrom.markers)
+    if count != len(number):
+        raise ValueError("marker sets differ")
+    return number
+
+
 def in_named_order(n_ids: int) -> list[int]:
     """The extremity ids below n_ids in the order of their ``Extremity``
     forms, which sort by marker and then head before tail: the order of
@@ -216,7 +241,7 @@ class Chromosome:
         for name, sign in self.markers:
             if sign not in (1, -1):
                 raise ValueError("marker sign must be +1 or -1")
-            if not name or name.startswith("-"):
+            if name.startswith("-") or name.split() != [name]:
                 raise ValueError("bad marker name %r" % name)
             if name in seen:
                 raise ValueError("duplicate marker %r" % name)
@@ -305,13 +330,25 @@ class Genome:
 
     def mates(self, number: Mapping[str, int]) -> list[int]:
         """The mate array under number, which numbers exactly this
-        genome's markers (see ``marker_numbers``): ``mate[x]`` is the
-        extremity across x's junction, or -1 when x is a telomere."""
-        mate = [-1] * (2 * len(number))
+        genome's markers (``marker_numbers`` or ``pair_numbers``):
+        ``mate[x]`` is the extremity across x's junction, or -1 when x is a
+        telomere.  One pass per chromosome joins each marker's left end to
+        the right end before it, which for a circular chromosome starts as
+        its last marker's right end (the side rule of ``junction_ids``)."""
+        # a linear chromosome's first left end has no right end before it:
+        # its -1 addresses the spare slot past the end, dropped on return
+        mate = [-1] * (2 * len(number) + 1)
         for chrom in self.chromosomes:
-            for a, b in chrom.junction_ids(number):
-                mate[a] = b
-                mate[b] = a
+            right = -1
+            if chrom.shape == CIRCULAR:
+                name, sign = chrom.markers[-1]
+                right = 2 * number[name] + (sign > 0)
+            for name, sign in chrom.markers:
+                left = 2 * number[name] + (sign < 0)
+                mate[right] = left
+                mate[left] = right
+                right = left ^ 1
+        mate.pop()
         return mate
 
     def __eq__(self, other):
@@ -436,6 +473,11 @@ def _json_chromosomes(data: dict):
                 "chromosome markers must be a list of tokens, not %r" % (tokens,)
             )
         markers = _read_markers(tokens)
+        # text tokens come from str.split, so only a JSON name can hold
+        # whitespace, which its text form would read as a token break
+        for name, _ in markers:
+            if name.split() != [name]:
+                raise ValueError("bad marker token %r" % name)
         yield entry["shape"], markers
 
 

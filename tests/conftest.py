@@ -14,13 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from revdcj import localcomp
-from revdcj.dcj import (
-    AdjacencyGraph,
-    Extremity,
-    GraphComponent,
-    HEAD,
-    TAIL,
-)
+from revdcj.dcj import AdjacencyGraph, GraphComponent
 from revdcj.dm import SetSystem, set_system
 from revdcj.fourreg import (
     CircuitPartition,
@@ -37,8 +31,11 @@ from revdcj.localcomp import LcSequence, has_full_lc_sequence, lc_strip
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
 from revdcj.perm import (
     CIRCULAR,
+    HEAD,
     LINEAR,
+    TAIL,
     Chromosome,
+    Extremity,
     Genome,
     SignedPermutation,
     genome_from_mates,

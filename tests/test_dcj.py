@@ -3,11 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from revdcj import cli, fourreg
 from revdcj.dcj import (
-    HEAD,
-    TAIL,
-    Extremity,
     adjacency_graph,
     adjacency_graph_to_dot,
     adjacency_set,
@@ -15,14 +14,20 @@ from revdcj.dcj import (
     circular_dcj_distance,
     dcj_distance,
     enumerate_dcj_moves,
-    head,
-    tail,
+)
+from revdcj.fourreg import (
+    CircuitPartition,
+    encode_circular_genomes,
+    target_circuit_count,
 )
 from revdcj.oracle import brute_dcj_distance
 from revdcj.perm import (
     CIRCULAR,
+    HEAD,
     LINEAR,
+    TAIL,
     Chromosome,
+    Extremity,
     Genome,
     SignedPermutation,
     apply_reversal,
@@ -30,12 +35,15 @@ from revdcj.perm import (
     marker_numbers,
     parse_genome,
 )
+from revdcj.sorter import distance_lower_bound
+from revdcj.verify import verifying
 
 from conftest import (
     marker_names,
     random_chromosomes,
     random_genome,
     reference_adjacency_graph,
+    signed_permutations,
 )
 
 # a linear+circular genome pair that exercises every component kind
@@ -44,6 +52,14 @@ GB = parse_genome("L: a b c\nC: d e\nL: f")
 
 # marker counts for the random pairs checked against the referees
 REFEREE_SIZES = (1, 2, 3, 4, 5, 8, 13, 30, 100, 300, 1000)
+
+
+def head(marker: str) -> Extremity:
+    return Extremity(marker, HEAD)
+
+
+def tail(marker: str) -> Extremity:
+    return Extremity(marker, TAIL)
 
 
 def genome_of_perm(p: SignedPermutation) -> Genome:
@@ -339,3 +355,149 @@ class TestReversalAsDcjDistance:
         for values, d in table.items():
             g = genome_of_perm(SignedPermutation(values))
             assert dcj_distance(g, identity) <= d
+
+
+def framed(p: SignedPermutation) -> Genome:
+    """p as one linear chromosome 0, p1, ..., pn, n+1."""
+    inner = [(str(abs(v)), 1 if v > 0 else -1) for v in p.values]
+    markers = [("0", 1)] + inner + [(str(len(p) + 1), 1)]
+    return Genome((Chromosome(LINEAR, tuple(markers)),))
+
+
+class TestFramedReversalBound:
+    """Framed by caps 0 and n+1, p and the identity are n+1-c DCJ moves
+    apart: the caps give two one-edge telomere paths.  The names "0" ...
+    "n+1" sort as strings ("10" < "2"), so reading order and sorted order
+    number the markers differently."""
+
+    def test_every_permutation_of_the_sweep(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                p = row.perm
+                pair = framed(p), framed(SignedPermutation(tuple(range(1, len(p) + 1))))
+                assert dcj_distance(*pair) == distance_lower_bound(p) == len(p) + 1 - row.c
+                assert adjacency_graph(*pair).distance == len(p) + 1 - row.c
+
+    @settings(max_examples=25, deadline=None)
+    @given(signed_permutations(max_n=1000))
+    def test_hypothesis_permutations(self, p):
+        identity = SignedPermutation(tuple(range(1, len(p) + 1)))
+        assert dcj_distance(framed(p), framed(identity)) == distance_lower_bound(p)
+
+
+def seeded_pairs(count: int, seed: int):
+    """Pairs of 1-2000 markers, log-uniform in size: both genomes linear,
+    both circular, or both mixed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = round(2000 ** rng.random())
+        share = rng.choice((0.0, 1.0, None))
+        yield tuple(
+            random_chromosomes(n, rng, rng.random() if share is None else share)
+            for _ in range(2)
+        )
+
+
+def all_circular(*genomes: Genome) -> bool:
+    return all(ch.shape == CIRCULAR for g in genomes for ch in g.chromosomes)
+
+
+class TestCountsAgainstTheReferee:
+    def test_seeded_pairs_with_the_switch_on_and_off(self):
+        circular = 0
+        for ga, gb in seeded_pairs(300, 24):
+            expected = reference_adjacency_graph(ga, gb).distance
+            closed = all_circular(ga, gb)
+            circular += closed
+            for on in (True, False):
+                with verifying(on):
+                    assert dcj_distance(ga, gb) == expected
+                    if closed:
+                        assert circular_dcj_distance(ga, gb) == expected
+            if closed:
+                enc = encode_circular_genomes(ga, gb)
+                assert enc.n - target_circuit_count(enc.graph, enc.pb) == expected
+        assert circular >= 60
+
+
+# (genome a, genome b, the error of dcj_distance, that of the cross-check);
+# the cross-check names a linear chromosome before a marker-set mismatch
+MARKER_SET_ERRORS = [
+    ("C: a b c", "C: a -b", "marker sets differ", "marker sets differ"),
+    ("C: a b", "C: a b\nC: c", "marker sets differ", "marker sets differ"),
+    ("C: a b c", "C: a b d", "marker sets differ", "marker sets differ"),
+    ("L: a b c\nC: d", "C: a c b d", None, "encoding requires all-circular chromosomes"),
+    ("L: a b c", "C: a b", "marker sets differ",
+     "encoding requires all-circular chromosomes"),
+    ("C: a b c", "L: c\nL: d a", "marker sets differ",
+     "encoding requires all-circular chromosomes"),
+    ("C: a", "L: b", "marker sets differ", "encoding requires all-circular chromosomes"),
+]
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["verify", "fast"])
+@pytest.mark.parametrize(
+    "a, b, plain, circular",
+    MARKER_SET_ERRORS,
+    ids=[str(i) for i in range(len(MARKER_SET_ERRORS))],
+)
+def test_marker_set_errors(a, b, plain, circular, on):
+    ga, gb = parse_genome(a), parse_genome(b)
+    with verifying(on):
+        if plain is None:
+            dcj_distance(ga, gb)
+        else:
+            with pytest.raises(ValueError) as caught:
+                dcj_distance(ga, gb)
+            assert str(caught.value) == plain
+        for check in (circular_dcj_distance, encode_circular_genomes):
+            with pytest.raises(ValueError) as caught:
+                check(ga, gb)
+            assert str(caught.value) == circular
+
+
+class TestCrossCheckKeepsItsChecks:
+    """With the switch off, as the CLI and the bench run it."""
+
+    PAIR = ("C: a -b c\nC: d e", "C: a c e\nC: b -d")
+
+    def test_counts_on_the_expanded_slot_layout(self, monkeypatch):
+        ga, gb = map(parse_genome, self.PAIR)
+        with verifying(False):
+            assert circular_dcj_distance(ga, gb) == dcj_distance(ga, gb) == 4
+
+        def source_routes(cycles, n_vertices):
+            # pa follows ga's chromosomes, so none of its circuits is
+            # intermediate-only and the count reads n
+            edges, _ = real(cycles, n_vertices)
+            return edges, CircuitPartition((1,) * n_vertices)
+
+        real = fourreg._expand
+        monkeypatch.setattr(fourreg, "_expand", source_routes)
+        with verifying(False):
+            assert circular_dcj_distance(ga, gb) == 5
+
+    def test_the_slot_matching_check_runs(self, monkeypatch):
+        ga, gb = map(parse_genome, self.PAIR)
+
+        def doubled(cycles, n_vertices):
+            edges, pb = real(cycles, n_vertices)
+            return ((edges[1][0], edges[0][1]),) + edges[1:], pb
+
+        real = fourreg._expand
+        monkeypatch.setattr(fourreg, "_expand", doubled)
+        with verifying(False):
+            with pytest.raises(ValueError, match="slot 1 matched twice"):
+                circular_dcj_distance(ga, gb)
+
+    def test_a_disagreement_raises(self, capsys, monkeypatch):
+        def one_off(*args):
+            return real(*args) + 1
+
+        real = fourreg._intermediate_circuits
+        monkeypatch.setattr(fourreg, "_intermediate_circuits", one_off)
+        with verifying(False):
+            code = cli.main(["dcj", "C: 1 2 3 4 5 6 7", "C: 1 -2 3 4 5 6 7"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "internal error: encoding route disagrees with the adjacency graph\n"

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -280,9 +281,9 @@ class TestChromosomeForms:
         assert Genome((single,)).mates(number) == [1, 0]
 
 
-# Malformed genome texts and JSON dicts with the exact error each raises:
-# (input, exception type, message), or (input, None, the parsed genome's
-# text) for inputs that parse.  Within a line every token is read before
+# Malformed genome texts, JSON dicts and constructor calls with the exact
+# error each raises: (input, exception type, message), or (input, None, the
+# parsed genome's text) for inputs that parse.  Within a line every token is read before
 # the line's own duplicates are checked; a duplicate within a line raises
 # when its line is read, one across lines only after every line parsed.
 PARSE_ERRORS = [
@@ -332,6 +333,19 @@ PARSE_ERRORS = [
      ValueError, "bad marker token '-b'"),
     ({"chromosomes": [{"shape": "linear"}]}, KeyError, "'markers'"),
     ({}, KeyError, "'chromosomes'"),
+    # a name with whitespace would print as text that reads as other markers;
+    # every token of a JSON chromosome is read before their names are checked
+    ({"chromosomes": [{"shape": "linear", "markers": ["a b", "c"]}]},
+     ValueError, "bad marker token 'a b'"),
+    ({"chromosomes": [{"shape": "linear", "markers": ["x\ny"]}]},
+     ValueError, "bad marker token 'x\\ny'"),
+    ({"chromosomes": [{"shape": "linear", "markers": ["a b", 5]}]},
+     ValueError, "bad marker token 5"),
+    ({"chromosomes": [{"shape": "circular", "markers": ["b", "-a\tc"]}]},
+     ValueError, "bad marker token 'a\\tc'"),
+    (partial(Chromosome, LINEAR, (("x y", 1),)), ValueError, "bad marker name 'x y'"),
+    (partial(Chromosome, CIRCULAR, (("a", 1), ("\u2028", -1))),
+     ValueError, "bad marker name '\\u2028'"),
 ]
 
 
@@ -342,13 +356,18 @@ PARSE_ERRORS = [
     ids=[str(i) for i in range(len(PARSE_ERRORS))],
 )
 def test_parse_error_table(source, error, message, on):
-    parse = genome_from_json if isinstance(source, dict) else parse_genome
+    if callable(source):
+        build = source
+    elif isinstance(source, dict):
+        build = partial(genome_from_json, source)
+    else:
+        build = partial(parse_genome, source)
     with verifying(on):
         if error is None:
-            assert str(parse(source)) == message
+            assert str(build()) == message
             return
         with pytest.raises(error) as caught:
-            parse(source)
+            build()
     assert str(caught.value) == message
     assert type(caught.value) is error
 
