@@ -32,19 +32,17 @@ of the mate array and read the result back with ``perm.genome_from_mates``;
 
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
-that route is kept as an independent cross-check, which counts on the
-encoding's label-free layout (``fourreg.circular_target_count``) and shares
-no code with ``_walk``.
+that route is kept as an independent cross-check, which shares no code
+with ``_walk``.  It builds the labelled encoding under the sorted numbering
+(``fourreg.encode_circular_genomes``) and counts its circuits with
+``fourreg.target_circuit_count``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fourreg import circular_target_count
-# no code calls these two through this module: the import only keeps the
-# names that bench/spans.py wraps resolvable
-from .fourreg import encode_circular_genomes, target_circuit_count  # noqa: F401
+from .fourreg import encode_circular_genomes, target_circuit_count
 from .perm import (
     SIDES,
     Extremity,
@@ -203,11 +201,10 @@ def circular_dcj_distance(ga: Genome, gb: Genome) -> int:
     """Distance for all-circular genomes via the 4-regular encoding.
 
     Independent of the adjacency graph: n minus the number of
-    intermediate-only circuits of the target partition, counted on the
-    label-free layout of ``fourreg.encode_circular_genomes``.
+    intermediate-only circuits of the target partition.
     """
-    n, intermediate_only = circular_target_count(ga, gb)
-    return n - intermediate_only
+    enc = encode_circular_genomes(ga, gb)
+    return enc.n - target_circuit_count(enc.graph, enc.pb)
 
 
 def apply_dcj(

@@ -20,24 +20,18 @@ an anchor, insert intermediate segments) or a pair of all-circular genomes
 partition of the source chromosome(s) and the supplementary partition
 whose real-segment circuits spell the target.  Both lay out slots and
 target routes the same way, from closed junction sequences (``_expand``);
-a genome's junctions are read with ``perm.Chromosome.junction_ids``.  For
-genomes that layout (``_circular_layout``) takes a marker numbering and
-builds no label: ``encode_circular_genomes`` runs it under the sorted
-numbering and adds the labels, and ``circular_target_count``, the DCJ
-cross-check, runs it under ``perm.pair_numbers`` and counts at once.
-``target_circuit_count`` and that count share one walk over the slot
-matching (``_intermediate_circuits``), which reads each slot's kind from a
-bytearray and keeps no list of steps.
+a genome's junctions are read with ``perm.Chromosome.junction_ids``.
+``target_circuit_count``, which gives the DCJ distance of two circular
+genomes as n minus its count, walks the slot matching once, reading each
+slot's kind from a bytearray and keeping no list of steps.
 
-The slot matching is checked (``_check_slots``) with one set over all
-slots, walking the edges to name the first bad slot only when that check
-fails; every graph runs it, and so does the cross-check's layout.
+A graph checks its slot matching with one set over all slots, and walks
+the edges to name the first bad slot only when that check fails.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -57,36 +51,6 @@ ANCHOR = "anchor"
 REAL = "real"
 INTERMEDIATE = "intermediate"
 
-
-def _check_slots(n_vertices: int, edges) -> None:
-    """Raise unless edges, a sequence of slot pairs, match each of the
-    4 * n_vertices slots exactly once."""
-    n_slots = 4 * n_vertices
-    if len(edges) * 2 != n_slots:
-        raise ValueError("edge count must be 2 * vertex count")
-    # 2n pairs match every slot exactly once iff together they cover all
-    # 4n slots; only when they do not, the walk names the first bad slot
-    slots = set(chain.from_iterable(edges))
-    if not (set(map(len, edges)) <= {2} and slots.issuperset(range(n_slots))):
-        seen = set()
-        for a, b in edges:
-            for s in (a, b):
-                if not 0 <= s < n_slots:
-                    raise ValueError("slot %d out of range" % s)
-                if s in seen:
-                    raise ValueError("slot %d matched twice" % s)
-                seen.add(s)
-
-
-def _partners(n_slots: int, edges) -> list[int]:
-    """The slot each slot is matched to."""
-    partner = [0] * n_slots
-    for a, b in edges:
-        partner[a] = b
-        partner[b] = a
-    return partner
-
-
 @dataclass(frozen=True)
 class FourRegularGraph:
     """A 4-regular multigraph as a perfect matching on half-edge slots."""
@@ -98,7 +62,21 @@ class FourRegularGraph:
     edge_kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
-        _check_slots(self.n_vertices, self.edges)
+        n_slots = 4 * self.n_vertices
+        if len(self.edges) * 2 != n_slots:
+            raise ValueError("edge count must be 2 * vertex count")
+        # 2n pairs match every slot exactly once iff together they cover all
+        # 4n slots; only when they do not, the walk names the first bad slot
+        slots = set(chain.from_iterable(self.edges))
+        if not (set(map(len, self.edges)) <= {2} and slots.issuperset(range(n_slots))):
+            seen = set()
+            for a, b in self.edges:
+                for s in (a, b):
+                    if not 0 <= s < n_slots:
+                        raise ValueError("slot %d out of range" % s)
+                    if s in seen:
+                        raise ValueError("slot %d matched twice" % s)
+                    seen.add(s)
         if not self.edge_labels:
             object.__setattr__(
                 self, "edge_labels", tuple("e%d" % i for i in range(len(self.edges)))
@@ -120,7 +98,10 @@ class FourRegularGraph:
 
     @cached_property
     def _slot_partner(self) -> tuple[int, ...]:
-        return tuple(_partners(self.n_slots, self.edges))
+        partner = [0] * self.n_slots
+        for a, b in self.edges:
+            partner[a], partner[b] = b, a
+        return tuple(partner)
 
     def edge_of_slot(self) -> list[int]:
         owner = [0] * self.n_slots
@@ -250,28 +231,19 @@ class PermEncoding:
 
 
 def target_circuit_count(g: FourRegularGraph, pb: CircuitPartition) -> int:
-    """The number of pb circuits made of intermediate segments only."""
+    """The number of pb circuits made of intermediate segments only.
+
+    The walk of ``_slot_walk`` (arrive at a slot, depart by its vertex's
+    route, cross the edge there), keeping only whether every edge so far
+    was intermediate."""
     if len(pb.routes) != g.n_vertices:
         raise ValueError("partition does not match graph")
-    intermediate = _intermediate_slots(g.n_slots, g.edges, g.edge_kinds)
-    return _intermediate_circuits(g.slot_partner(), pb.routes, intermediate)
-
-
-def _intermediate_slots(n_slots: int, edges, kinds) -> bytearray:
-    """1 at both slots of each intermediate edge, 0 elsewhere."""
-    flags = bytearray(n_slots)
-    for (a, b), kind in zip(edges, kinds):
+    intermediate = bytearray(g.n_slots)
+    for (a, b), kind in zip(g.edges, g.edge_kinds):
         if kind == INTERMEDIATE:
-            flags[a] = flags[b] = 1
-    return flags
-
-
-def _intermediate_circuits(partner, routes, intermediate: bytearray) -> int:
-    """The number of circuits, under the routes and the slot matching
-    partner, whose every edge is intermediate.  One walk: like
-    ``_slot_walk``, each step arrives at a slot, departs by its vertex's
-    route and crosses the edge there, but no list of steps is kept."""
-    seen = bytearray(len(partner))
+            intermediate[a] = intermediate[b] = 1
+    partner, routes = g.slot_partner(), pb.routes
+    seen = bytearray(g.n_slots)
     count = 0
     start = seen.find(0)
     while start >= 0:
@@ -300,17 +272,17 @@ def _expand(cycles, n_vertices: int):
     incoming slot after a real segment, the outgoing slot after an
     intermediate one.
     """
-    second = [False] * n_vertices
+    second = [0] * n_vertices  # 2 once v has been visited
     pb_routes = [0] * n_vertices
     edges = []
     for cycle in cycles:
         base = []
         for t, v in enumerate(cycle):
-            slot = 4 * v + 2 * second[v]
-            second[v] = True
+            slot = 4 * v + second[v]
+            second[v] = 2
             base.append(slot)
             pb_routes[v] ^= slot + (t & 1)
-        edges += ((base[t - 1] + 1, base[t]) for t in range(len(cycle)))
+        edges += zip([s + 1 for s in base[-1:] + base[:-1]], base)
     return tuple(edges), CircuitPartition(tuple(pb_routes))
 
 
@@ -350,18 +322,21 @@ def encode_permutation(p: SignedPermutation) -> PermEncoding:
     return PermEncoding(graph, pa, pb, n, tuple(junction))
 
 
-def _require_circular(ga: Genome, gb: Genome) -> None:
+def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
+    """Encode two all-circular genomes over the same markers.
+
+    Expansion inserts an intermediate segment at every junction of ga; the
+    merged vertices are the adjacencies of gb, each holding two marker
+    extremities.  pb pairs the marker ends at every vertex, so its real
+    circuits spell gb's chromosomes and every other circuit is a cycle of
+    intermediates; their count c gives the DCJ distance as n - c.
+    """
     for g in (ga, gb):
         for chrom in g.chromosomes:
             if chrom.shape != CIRCULAR:
                 raise ValueError("encoding requires all-circular chromosomes")
-
-
-def _circular_layout(ga: Genome, gb: Genome, number: Mapping[str, int]):
-    """The label-free layout of two all-circular genomes under number:
-    gb's adjacencies as the vertices, in the order of
-    ``perm.breakpoint_ids``, with ``_expand``'s edges and pb for ga's
-    junctions.  Any numbering gives the same circuits up to renaming."""
+    reading = pair_numbers(ga, gb)
+    number = marker_numbers(reading)
     vertices = breakpoint_ids(gb.mates(number))
     vertex_of = [0] * (2 * len(number))
     for v, (a, b) in enumerate(vertices):
@@ -373,55 +348,21 @@ def _circular_layout(ga: Genome, gb: Genome, number: Mapping[str, int]):
         for chrom in ga.chromosomes
     ]
     edges, pb = _expand(cycles, len(vertices))
-    return vertices, edges, pb
 
-
-def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
-    """Encode two all-circular genomes over the same markers.
-
-    Expansion inserts an intermediate segment at every junction of ga; the
-    merged vertices are the adjacencies of gb, each holding two marker
-    extremities.  pb pairs the marker ends at every vertex, so its real
-    circuits spell gb's chromosomes and every other circuit is a cycle of
-    intermediates; their count c gives the DCJ distance as n - c.  The
-    layout is ``_circular_layout`` under the sorted numbering, so that the
-    vertices come in the order of their labels.
-    """
-    _require_circular(ga, gb)
-    number = marker_numbers(pair_numbers(ga, gb))
-    vertices, edges, pb = _circular_layout(ga, gb, number)
-
-    edge_labels = []
-    for chrom in ga.chromosomes:
-        for name, _ in chrom.markers:
-            edge_labels += (name, "I%d" % (len(edge_labels) // 2 + 1))
+    # each marker in ga's reading order, then the intermediate after it
+    edge_labels = [""] * (2 * len(reading))
+    edge_labels[::2] = reading
+    edge_labels[1::2] = ["I%d" % k for k in range(1, len(reading) + 1)]
     label = ["%s.%s" % (name, side[0]) for name in number for side in SIDES]
     graph = FourRegularGraph(
         n_vertices=len(vertices),
         edges=edges,
         edge_labels=tuple(edge_labels),
         vertex_labels=tuple(label[a] + "," + label[b] for a, b in vertices),
-        edge_kinds=(REAL, INTERMEDIATE) * len(number),
+        edge_kinds=(REAL, INTERMEDIATE) * (len(edges) // 2),
     )
     pa = CircuitPartition((1,) * len(vertices))
     return PermEncoding(graph, pa, pb, len(number))
-
-
-def circular_target_count(ga: Genome, gb: Genome) -> tuple[int, int]:
-    """The marker count n and the number c of intermediate-only pb
-    circuits of ``encode_circular_genomes(ga, gb)``, so that the DCJ
-    distance is n - c, from the label-free layout under
-    ``perm.pair_numbers``.  Every check of the labelled route runs: the
-    shape and marker-set checks, the slot matching and the routes."""
-    _require_circular(ga, gb)
-    number = pair_numbers(ga, gb)
-    vertices, edges, pb = _circular_layout(ga, gb, number)
-    _check_slots(len(vertices), edges)
-    n_slots = 4 * len(vertices)
-    # each marker's edge, then the intermediate after it
-    intermediate = _intermediate_slots(n_slots, edges, (REAL, INTERMEDIATE) * len(number))
-    count = _intermediate_circuits(_partners(n_slots, edges), pb.routes, intermediate)
-    return len(number), count
 
 
 # ---------------------------------------------------------------------------
