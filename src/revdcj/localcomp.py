@@ -15,6 +15,9 @@ whose looped neighbors all score no higher, the score of v being
 |N^ul(v)| - |N^l(v)|.  That pick is a mask rule on the rows: score each
 looped vertex by two popcounts, OR into above[s] the looped vertices
 scoring above s, and v is a candidate iff its row misses above[score(v)].
+The loop mask it reads is summed once per run and carried across strips
+(the strip's step law on the diagonal is one XOR with v's row); the verify
+switch compares it with the rows after every strip.
 """
 
 from __future__ import annotations
@@ -133,18 +136,30 @@ def greedy_strips(h: LoopedGraph):
     """The greedy lc-sequence as it goes: yield (v, graph after the strip).
 
     At each step the lowest-id vertex among the minimal-score candidates
-    (the least of ``ms_set``) is stripped, until no edge or loop is left.
-    The scan stops at that first candidate.  Callers check
+    (the least of ``ms_set``) is stripped, until no loop is left; a looped
+    vertex of top score is always a candidate, so every turn has a pick.
+    Edges left over without a loop raise.  The scan stops at the first
+    candidate.  The loop mask is summed once and then carried: a strip at
+    v toggles the loop of v and of each neighbor, so the mask after it is
+    the mask before XOR v's row before it.  Under the verify switch each
+    carried mask is compared with the strip's own.  Callers check
     ``has_full_lc_sequence`` first; the sorter reads one reversal off each
     pick.
     """
-    while h.has_any_edge():
-        i = next(_candidates(h.rows, h.loop_mask), None)
-        if i is None:
-            raise AssertionError("sortable graph with edges but no candidates")
+    loops = h.loop_mask
+    checking = verify.enabled()
+    while loops:
+        i = next(_candidates(h.rows, loops))
         v = h.vertices[i]
+        loops ^= h.rows[i]
         h = lc_strip(h, v)
+        if checking and loops != h.loop_mask:
+            raise AssertionError(
+                "carried loop mask differs from the strip at %r" % (v,)
+            )
         yield v, h
+    if h.has_any_edge():
+        raise AssertionError("sortable graph with edges but no candidates")
 
 
 def find_full_lc_sequence(h: LoopedGraph) -> LcSequence | None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import neg
 from typing import NamedTuple
 
 from . import verify
@@ -116,7 +117,7 @@ def apply_reversal(p: SignedPermutation, r: ReversalInterval) -> SignedPermutati
         raise ValueError("interval %s out of bounds for n=%d" % (r, len(p)))
     v = p.values
     i, j = r.start - 1, r.end
-    block = tuple(-x for x in reversed(v[i:j]))
+    block = tuple(map(neg, v[i:j][::-1]))
     return SignedPermutation._trusted(v[:i] + block + v[j:])
 
 

@@ -4,6 +4,8 @@ Off by default.  While it is on, these run as well:
 
 - the sorter's per-step rebuild of the circle graph from the new
   permutation, compared with the strip the greedy loop took;
+- the greedy loop's carried loop mask, compared with the loops of the
+  graph after every strip (``localcomp.greedy_strips``);
 - the rank check on the length of ``localcomp.find_full_lc_sequence``;
 - the full validation of the rows, permutations and genomes that the
   library builds itself (``LoopedGraph._trusted``,

@@ -243,6 +243,18 @@ def sabotage_lc_strip(monkeypatch):
     monkeypatch.setattr(localcomp, "lc_strip", strip_dropping_an_edge)
 
 
+def sabotage_lc_strip_loop(monkeypatch):
+    """Make every strip toggle the loop at the graph's first vertex."""
+    real_strip = localcomp.lc_strip
+
+    def strip_toggling_a_loop(h, v):
+        rows = list(real_strip(h, v).rows)
+        rows[0] ^= 1
+        return LoopedGraph(h.vertices, tuple(rows))
+
+    monkeypatch.setattr(localcomp, "lc_strip", strip_toggling_a_loop)
+
+
 def random_looped_graph(n: int, seed: int, edge_p: float = 0.4, loop_p: float = 0.5):
     rng = random.Random(seed)
     edges = set()

@@ -83,6 +83,14 @@ DM_JSON = (GOLDEN / "dm_pi7.json").read_text(encoding="utf-8")
 README_DCJ = ("L: b -d c; C: a -e f", "L: a b c; C: d e; L: f")
 
 
+def seeded_permutation_arg(n, seed):
+    """A uniform signed permutation of 1..n as a CLI argument."""
+    rng = random.Random(seed)
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    return ",".join(str(v if rng.random() < 0.5 else -v) for v in values)
+
+
 def run(capsys, *argv):
     """cli.main's status, with argparse's SystemExit read as a status too."""
     try:
@@ -128,6 +136,18 @@ class TestGoldenOutputs:
     def test_fourreg_and_dcj(self, capsys, argv, golden):
         expected = (GOLDEN / golden).read_text(encoding="utf-8")
         assert run(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "permutation, golden",
+        [
+            (PI7_ARG, "sort_pi7.json"),
+            (seeded_permutation_arg(30, seed=1), "sort_n30_seed1.json"),
+            (seeded_permutation_arg(100, seed=1), "sort_n100_seed1.json"),
+        ],
+    )
+    def test_sort_json(self, capsys, permutation, golden):
+        expected = (GOLDEN / golden).read_text(encoding="utf-8")
+        assert run(capsys, "sort", "--json", permutation) == (0, expected, "")
 
     def test_dcj_dot(self, capsys, tmp_path):
         path = tmp_path / "dcj.dot"

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from revdcj.graphs import adjacency_matrix, connected_components, looped_graph
 from revdcj.localcomp import (
     LcSequence,
+    _candidates,
     find_full_lc_sequence,
     greedy_strips,
     has_full_lc_sequence,
@@ -18,6 +19,7 @@ from revdcj.localcomp import (
 )
 from revdcj.perm import SignedPermutation
 from revdcj.sorter import permutation_circle_graph
+from revdcj.verify import verifying
 
 from conftest import (
     induced_subgraph,
@@ -71,6 +73,18 @@ def looped_graphs(draw, max_n):
         edge_p=draw(st.floats(0.02, 0.6)),
         loop_p=draw(st.floats(0.1, 0.9)),
     )
+
+
+def greedy_strips_rescanning(h):
+    """The greedy loop that sums the loop mask afresh before every pick:
+    the referee for the mask that ``greedy_strips`` carries."""
+    while h.has_any_edge():
+        i = next(_candidates(h.rows, h.loop_mask), None)
+        if i is None:
+            raise AssertionError("sortable graph with edges but no candidates")
+        v = h.vertices[i]
+        h = lc_strip(h, v)
+        yield v, h
 
 
 def matrix_entries(h):
@@ -362,3 +376,27 @@ class TestFullSequenceCriterion:
         assert not has_full_lc_sequence(h)  # the 2-3 path has no loop
         sub = induced_subgraph(h, {0, 1})
         assert has_full_lc_sequence(sub)
+
+
+class TestCarriedLoopMask:
+    def test_same_strips_as_rescanning_on_the_sweep(self, small_sweep):
+        walked = 0
+        with verifying(False):
+            for rows in small_sweep.rows.values():
+                for row in rows:
+                    if row.sortable:
+                        got = list(greedy_strips(row.graph))
+                        assert got == list(greedy_strips_rescanning(row.graph))
+                        walked += len(got)
+        assert walked > 10000
+
+    @settings(max_examples=60, deadline=None)
+    @given(looped_graphs(max_n=80))
+    def test_same_strips_as_rescanning_up_to_80_vertices(self, h):
+        assume(has_full_lc_sequence(h))
+        with verifying(False):
+            assert list(greedy_strips(h)) == list(greedy_strips_rescanning(h))
+
+    def test_edges_without_loops_raise(self):
+        with verifying(False), pytest.raises(AssertionError, match="no candidates"):
+            list(greedy_strips(looped_graph([0, 1], [(0, 1)])))

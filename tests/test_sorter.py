@@ -34,7 +34,12 @@ from revdcj.sorter import (
 )
 from revdcj.verify import enabled, verifying
 
-from conftest import breakpoint_positions, sabotage_lc_strip, signed_permutations
+from conftest import (
+    breakpoint_positions,
+    sabotage_lc_strip,
+    sabotage_lc_strip_loop,
+    signed_permutations,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
@@ -335,6 +340,11 @@ class TestVerifySwitch:
     def test_sabotaged_strip_fails_the_sort(self, monkeypatch):
         sabotage_lc_strip(monkeypatch)
         with pytest.raises(AssertionError, match="is not the strip"):
+            sort_by_reversals(scrambled(30, 12, seed=4))
+
+    def test_sabotaged_loop_fails_the_carried_mask(self, monkeypatch):
+        sabotage_lc_strip_loop(monkeypatch)
+        with pytest.raises(AssertionError, match="carried loop mask"):
             sort_by_reversals(scrambled(30, 12, seed=4))
 
     def test_sabotaged_rank_fails_the_distance(self, monkeypatch):
