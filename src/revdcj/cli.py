@@ -30,9 +30,11 @@ from . import __version__
 from .dcj import adjacency_graph, adjacency_graph_to_dot, circular_dcj_distance
 from .dm import from_graph, has_full_lc_sequence_for, is_delta_matroid, is_even, summands
 from .fourreg import (
+    REAL,
     circuits,
     encode_permutation,
     graph_to_dot,
+    permutation_names,
     random_euler_system,
     random_four_regular,
     random_supplementary,
@@ -234,28 +236,31 @@ def _cmd_fourreg(args) -> int:
         g = random_four_regular(args.random, args.seed)
         pa = random_euler_system(g, args.seed + 1)
         pb = random_supplementary(g, pa, args.seed + 2)
-        n = None
+        enc = None
+        vertex_labels = ["u%d" % v for v in range(g.n_vertices)]
+        edge_labels = ["e%d" % i for i in range(len(g.edges))]
+        edge_kinds = [REAL] * len(g.edges)
     else:
         if args.permutation is None:
             raise ValueError("a permutation or --random is required")
-        p = _permutation(args.permutation)
-        enc = encode_permutation(p)
-        g, pa, pb, n = enc.graph, enc.pa, enc.pb, enc.n
+        enc = encode_permutation(_permutation(args.permutation))
+        g, pa, pb = enc.graph, enc.pa, enc.pb
+        vertex_labels, edge_labels, edge_kinds = permutation_names(enc)
     ca = circuits(g, pa)
     cb = circuits(g, pb)
     if args.dot:
-        _write_dot(args.dot, graph_to_dot(g, pb))
+        _write_dot(args.dot, graph_to_dot(g, pb, vertex_labels, edge_labels))
     if args.json:
         data = {
-            "vertices": list(g.vertex_labels),
+            "vertices": list(vertex_labels),
             "edges": [
-                {"slots": list(e), "label": g.edge_labels[i], "kind": g.edge_kinds[i]}
+                {"slots": list(e), "label": edge_labels[i], "kind": edge_kinds[i]}
                 for i, e in enumerate(g.edges)
             ],
             "pa_routes": list(pa.routes),
             "pb_routes": list(pb.routes),
-            "pa_circuits": [[g.edge_labels[i] for i in c] for c in ca],
-            "pb_circuits": [[g.edge_labels[i] for i in c] for c in cb],
+            "pa_circuits": [[edge_labels[i] for i in c] for c in ca],
+            "pb_circuits": [[edge_labels[i] for i in c] for c in cb],
         }
         _emit_json(data)
         return 0
@@ -264,9 +269,9 @@ def _cmd_fourreg(args) -> int:
     print("source circuits: %d" % len(ca))
     print("target circuits: %d" % len(cb))
     for c in cb:
-        print("  " + " ".join(g.edge_labels[i] for i in c))
-    if n is not None:
-        print("c: %d" % target_circuit_count(g, pb))
+        print("  " + " ".join(edge_labels[i] for i in c))
+    if enc is not None:
+        print("c: %d" % target_circuit_count(enc))
     return 0
 
 

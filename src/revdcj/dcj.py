@@ -33,7 +33,7 @@ of the mate array and read the result back with ``perm.genome_from_mates``;
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
 that route is kept as an independent cross-check, which shares no code
-with ``_walk``.  It builds the labelled encoding under the sorted numbering
+with ``_walk``.  It builds the name-free encoding under the sorted numbering
 (``fourreg.encode_circular_genomes``) and counts its circuits with
 ``fourreg.target_circuit_count``.
 """
@@ -204,7 +204,7 @@ def circular_dcj_distance(ga: Genome, gb: Genome) -> int:
     intermediate-only circuits of the target partition.
     """
     enc = encode_circular_genomes(ga, gb)
-    return enc.n - target_circuit_count(enc.graph, enc.pb)
+    return enc.n - target_circuit_count(enc)
 
 
 def apply_dcj(

@@ -3,8 +3,9 @@
 Every vertex owns four half-edge slots, numbered 0..3; globally slot
 ``4*v + s`` is slot s of vertex v.  An edge is an unordered pair of slots
 (a loop pairs two slots of the same vertex), and the edge set is a perfect
-matching on all slots.  A circuit partition assigns each vertex a route,
-one of the three perfect matchings on its four slots; following edges and
+matching on all slots; a graph is that matching and nothing else, edge i
+being ``edges[i]``.  A circuit partition assigns each vertex a route, one
+of the three perfect matchings on its four slots; following edges and
 routes alternately decomposes the edge set into closed circuits.
 ``circuits`` gives each one as its edge ids in least form over rotation
 and reflection (``perm.least_rotation`` on both directions).
@@ -18,12 +19,13 @@ The two encodings at the end turn a signed permutation (circularize with
 an anchor, insert intermediate segments) or a pair of all-circular genomes
 (insert intermediates only) into such a graph together with the circuit
 partition of the source chromosome(s) and the supplementary partition
-whose real-segment circuits spell the target.  Both lay out slots and
-target routes the same way, from closed junction sequences (``_expand``);
-a genome's junctions are read with ``perm.Chromosome.junction_ids``.
-``target_circuit_count``, which gives the DCJ distance of two circular
-genomes as n minus its count, walks the slot matching once, reading each
-slot's kind from a bytearray and keeping no list of steps.
+whose real-segment circuits spell the target.  Both lay out slots, target
+routes and per-slot intermediate flags the same way, from closed junction
+sequences (``_expand``); a genome's junctions are read with
+``perm.Chromosome.junction_ids``.  ``target_circuit_count``, which gives
+the DCJ distance of two circular genomes as n minus its count, walks the
+slot matching once, reading each slot's flag and keeping no list of steps.
+Names are built only for display (``permutation_names``, ``graph_to_dot``).
 
 A graph checks its slot matching with one set over all slots, and walks
 the edges to name the first bad slot only when that check fails.
@@ -38,7 +40,6 @@ from itertools import chain
 
 from .perm import (
     CIRCULAR,
-    SIDES,
     Genome,
     SignedPermutation,
     breakpoint_ids,
@@ -57,9 +58,6 @@ class FourRegularGraph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
-    edge_labels: tuple[str, ...] = ()
-    vertex_labels: tuple[str, ...] = ()
-    edge_kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
         n_slots = 4 * self.n_vertices
@@ -77,16 +75,6 @@ class FourRegularGraph:
                     if s in seen:
                         raise ValueError("slot %d matched twice" % s)
                     seen.add(s)
-        if not self.edge_labels:
-            object.__setattr__(
-                self, "edge_labels", tuple("e%d" % i for i in range(len(self.edges)))
-            )
-        if not self.vertex_labels:
-            object.__setattr__(
-                self, "vertex_labels", tuple("u%d" % v for v in range(self.n_vertices))
-            )
-        if not self.edge_kinds:
-            object.__setattr__(self, "edge_kinds", (REAL,) * len(self.edges))
 
     @property
     def n_slots(self) -> int:
@@ -217,32 +205,30 @@ class PermEncoding:
     pa follows the source traversal, one circuit per source chromosome
     (an Euler system for permutation encodings, whose graph is connected
     with a single circularized chromosome); pb is the supplementary
-    partition whose real-segment circuits spell the target.  For
-    permutation encodings, junction_sequence[t] is the vertex label index
-    of the junction after traversal segment t, so each vertex appears at
-    exactly two positions.
+    partition whose real-segment circuits spell the target.
+    intermediate[s] is 1 iff slot s ends an intermediate segment.  For
+    permutation encodings, junction_sequence[t] is the vertex after
+    traversal segment t, so each vertex appears at exactly two positions.
     """
 
     graph: FourRegularGraph
     pa: CircuitPartition
     pb: CircuitPartition
     n: int
+    intermediate: bytes = field(compare=False)
     junction_sequence: tuple[int, ...] = field(default=(), compare=False)
 
 
-def target_circuit_count(g: FourRegularGraph, pb: CircuitPartition) -> int:
+def target_circuit_count(enc: PermEncoding) -> int:
     """The number of pb circuits made of intermediate segments only.
 
     The walk of ``_slot_walk`` (arrive at a slot, depart by its vertex's
     route, cross the edge there), keeping only whether every edge so far
     was intermediate."""
-    if len(pb.routes) != g.n_vertices:
+    g, routes, intermediate = enc.graph, enc.pb.routes, enc.intermediate
+    if len(routes) != g.n_vertices:
         raise ValueError("partition does not match graph")
-    intermediate = bytearray(g.n_slots)
-    for (a, b), kind in zip(g.edges, g.edge_kinds):
-        if kind == INTERMEDIATE:
-            intermediate[a] = intermediate[b] = 1
-    partner, routes = g.slot_partner(), pb.routes
+    partner = g.slot_partner()
     seen = bytearray(g.n_slots)
     count = 0
     start = seen.find(0)
@@ -261,7 +247,7 @@ def target_circuit_count(g: FourRegularGraph, pb: CircuitPartition) -> int:
 
 
 def _expand(cycles, n_vertices: int):
-    """Edges and target (pb) routes for closed junction sequences.
+    """Edges, target routes and intermediate flags for closed junction sequences.
 
     Each cycle lists the vertex at the junction after each of its
     segments; even segments are real (or the anchor), odd ones
@@ -270,10 +256,12 @@ def _expand(cycles, n_vertices: int):
     segment t joins the outgoing slot of junction t - 1 to the incoming
     slot of junction t.  pb pairs the two real ends at every vertex: the
     incoming slot after a real segment, the outgoing slot after an
-    intermediate one.
+    intermediate one.  The other slot of each junction ends an
+    intermediate segment and gets flag 1.
     """
     second = [0] * n_vertices  # 2 once v has been visited
     pb_routes = [0] * n_vertices
+    intermediate = bytearray(4 * n_vertices)
     edges = []
     for cycle in cycles:
         base = []
@@ -282,8 +270,9 @@ def _expand(cycles, n_vertices: int):
             second[v] = 2
             base.append(slot)
             pb_routes[v] ^= slot + (t & 1)
+            intermediate[slot + 1 - (t & 1)] = 1
         edges += zip([s + 1 for s in base[-1:] + base[:-1]], base)
-    return tuple(edges), CircuitPartition(tuple(pb_routes))
+    return tuple(edges), CircuitPartition(tuple(pb_routes)), bytes(intermediate)
 
 
 def encode_permutation(p: SignedPermutation) -> PermEncoding:
@@ -298,28 +287,34 @@ def encode_permutation(p: SignedPermutation) -> PermEncoding:
     merge into one vertex of degree 4.
     """
     n = len(p)
-    edge_labels = ["$"]
-    edge_kinds = [ANCHOR]
     junction = [0]
-    for i, k in enumerate(p.values, start=1):
-        edge_labels += ("I%d" % i, str(abs(k)))
-        edge_kinds += (INTERMEDIATE, REAL)
+    for k in p.values:
         # tail side of real segment i, then its head side
         junction += (k - 1, k) if k > 0 else (-k, -k - 1)
-    edge_labels.append("I%d" % (n + 1))
-    edge_kinds.append(INTERMEDIATE)
     junction.append(n)
 
-    edges, pb = _expand([junction], n + 1)
-    graph = FourRegularGraph(
-        n_vertices=n + 1,
-        edges=edges,
-        edge_labels=tuple(edge_labels),
-        vertex_labels=tuple("v%d" % v for v in range(n + 1)),
-        edge_kinds=tuple(edge_kinds),
-    )
+    edges, pb, intermediate = _expand([junction], n + 1)
+    graph = FourRegularGraph(n + 1, edges)
     pa = CircuitPartition((1,) * (n + 1))
-    return PermEncoding(graph, pa, pb, n, tuple(junction))
+    return PermEncoding(graph, pa, pb, n, intermediate, tuple(junction))
+
+
+def permutation_names(enc: PermEncoding):
+    """Vertex labels, edge labels and edge kinds of a permutation encoding,
+    built for display only: v0..vn, then $, I1, |p1|, I2, ..., I(n+1) in
+    traversal order, with the intermediate kind read from the flags.  Real
+    segment |k| lies between junctions |k| - 1 and |k|."""
+    junction = enc.junction_sequence
+    labels, kinds = ["$"], [ANCHOR]
+    for t, (a, _) in enumerate(enc.graph.edges[1:], start=1):
+        if enc.intermediate[a]:
+            labels.append("I%d" % ((t + 1) // 2))
+            kinds.append(INTERMEDIATE)
+        else:
+            labels.append(str(max(junction[t - 1], junction[t])))
+            kinds.append(REAL)
+    vertices = tuple("v%d" % v for v in range(enc.graph.n_vertices))
+    return vertices, tuple(labels), tuple(kinds)
 
 
 def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
@@ -347,22 +342,10 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
         [vertex_of[x] for adj in chrom.junction_ids(number) for x in adj]
         for chrom in ga.chromosomes
     ]
-    edges, pb = _expand(cycles, len(vertices))
-
-    # each marker in ga's reading order, then the intermediate after it
-    edge_labels = [""] * (2 * len(reading))
-    edge_labels[::2] = reading
-    edge_labels[1::2] = ["I%d" % k for k in range(1, len(reading) + 1)]
-    label = ["%s.%s" % (name, side[0]) for name in number for side in SIDES]
-    graph = FourRegularGraph(
-        n_vertices=len(vertices),
-        edges=edges,
-        edge_labels=tuple(edge_labels),
-        vertex_labels=tuple(label[a] + "," + label[b] for a, b in vertices),
-        edge_kinds=(REAL, INTERMEDIATE) * (len(edges) // 2),
-    )
+    edges, pb, intermediate = _expand(cycles, len(vertices))
+    graph = FourRegularGraph(len(vertices), edges)
     pa = CircuitPartition((1,) * len(vertices))
-    return PermEncoding(graph, pa, pb, len(number))
+    return PermEncoding(graph, pa, pb, len(number), intermediate)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +425,9 @@ def random_supplementary(
 # exports
 
 
-def graph_to_dot(g: FourRegularGraph, partition: CircuitPartition) -> str:
+def graph_to_dot(
+    g: FourRegularGraph, partition: CircuitPartition, vertex_labels, edge_labels
+) -> str:
     """DOT rendering with edges colored by their circuit in the partition."""
     palette = (
         "black red blue darkgreen orange purple brown cadetblue "
@@ -454,11 +439,11 @@ def graph_to_dot(g: FourRegularGraph, partition: CircuitPartition) -> str:
             color[e] = palette[ci % len(palette)]
     lines = ["graph fourreg {"]
     for v in range(g.n_vertices):
-        lines.append('  n%d [label="%s"];' % (v, g.vertex_labels[v]))
+        lines.append('  n%d [label="%s"];' % (v, vertex_labels[v]))
     for i, (a, b) in enumerate(g.edges):
         lines.append(
             '  n%d -- n%d [label="%s", color=%s];'
-            % (a // 4, b // 4, g.edge_labels[i], color[i])
+            % (a // 4, b // 4, edge_labels[i], color[i])
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

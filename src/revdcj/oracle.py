@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import neg
 
 from .dcj import enumerate_dcj_moves
 from .perm import (
@@ -76,7 +77,7 @@ def _reversal_successors(state: tuple[int, ...]) -> list[tuple[int, ...]]:
     """
     n = len(state)
     return [
-        state[:i] + tuple(-x for x in reversed(state[i:j])) + state[j:]
+        state[:i] + tuple(map(neg, state[i:j][::-1])) + state[j:]
         for i in range(n)
         for j in range(i + 1, n + 1)
     ]

@@ -38,8 +38,7 @@ def circuit_count(p: SignedPermutation) -> int:
     The target partition routes real segments into a single circuit that
     spells the sorted permutation; c counts all its other circuits.
     """
-    enc = encode_permutation(p)
-    return target_circuit_count(enc.graph, enc.pb)
+    return target_circuit_count(encode_permutation(p))
 
 
 def distance_lower_bound(p: SignedPermutation) -> int:
@@ -192,7 +191,7 @@ def reversal_distance(p: SignedPermutation, policy: str = "auto") -> DistanceRep
         raise ValueError("unknown policy %r" % (policy,))
     enc = encode_permutation(p)
     h = circle_graph(enc.graph, enc.pa, enc.pb)
-    lb = len(p) + 1 - target_circuit_count(enc.graph, enc.pb)
+    lb = len(p) + 1 - target_circuit_count(enc)
     if adjacency_matrix(h).rank() != lb:
         raise AssertionError("matrix rank disagrees with n + 1 - c")
 

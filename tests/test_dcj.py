@@ -466,8 +466,8 @@ class TestCrossCheckKeepsItsChecks:
         def source_routes(cycles, n_vertices):
             # pa follows ga's chromosomes, so none of its circuits is
             # intermediate-only and the count reads n
-            edges, _ = real(cycles, n_vertices)
-            return edges, CircuitPartition((1,) * n_vertices)
+            edges, _, intermediate = real(cycles, n_vertices)
+            return edges, CircuitPartition((1,) * n_vertices), intermediate
 
         real = fourreg._expand
         monkeypatch.setattr(fourreg, "_expand", source_routes)
@@ -478,8 +478,8 @@ class TestCrossCheckKeepsItsChecks:
         ga, gb = map(parse_genome, self.PAIR)
 
         def doubled(cycles, n_vertices):
-            edges, pb = real(cycles, n_vertices)
-            return ((edges[1][0], edges[0][1]),) + edges[1:], pb
+            edges, pb, intermediate = real(cycles, n_vertices)
+            return ((edges[1][0], edges[0][1]),) + edges[1:], pb, intermediate
 
         real = fourreg._expand
         monkeypatch.setattr(fourreg, "_expand", doubled)

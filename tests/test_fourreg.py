@@ -1,6 +1,7 @@
 """The 4-regular multigraph encoding and its circuit partitions."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,7 @@ from revdcj.fourreg import (
     encode_permutation,
     graph_to_dot,
     is_euler_system,
+    permutation_names,
     random_euler_system,
     random_four_regular,
     random_supplementary,
@@ -32,18 +34,19 @@ from revdcj.perm import (
     parse_genome,
 )
 
-from conftest import breakpoint_positions, least_cycle_by_brute_force
+from conftest import breakpoint_positions, least_cycle_by_brute_force, random_chromosomes
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 
 
 def pairing_to_json(enc) -> dict:
     """Half-edge dump of a permutation encoding."""
+    vertices, labels, kinds = permutation_names(enc)
     return {
         "n": enc.n,
-        "vertices": list(enc.graph.vertex_labels),
+        "vertices": list(vertices),
         "edges": [
-            {"slots": list(e), "label": enc.graph.edge_labels[i], "kind": enc.graph.edge_kinds[i]}
+            {"slots": list(e), "label": labels[i], "kind": kinds[i]}
             for i, e in enumerate(enc.graph.edges)
         ],
         "pa_routes": list(enc.pa.routes),
@@ -51,8 +54,27 @@ def pairing_to_json(enc) -> dict:
     }
 
 
-def circuit_label_sets(g, p):
-    return sorted(sorted(g.edge_labels[i] for i in c) for c in circuits(g, p))
+def circuit_label_sets(labels, g, p):
+    return sorted(sorted(labels[i] for i in c) for c in circuits(g, p))
+
+
+def genome_edge_labels(ga):
+    """Each marker of ga in reading order, then an intermediate: the edge
+    order of ``encode_circular_genomes``."""
+    return [
+        label
+        for chrom in ga.chromosomes
+        for name, _ in chrom.markers
+        for label in (name, "I")
+    ]
+
+
+def odd_edge_slots(enc) -> bytes:
+    """1 on both slots of every odd-numbered edge, 0 elsewhere."""
+    flags = bytearray(enc.graph.n_slots)
+    for a, b in enc.graph.edges[1::2]:
+        flags[a] = flags[b] = 1
+    return bytes(flags)
 
 
 class TestGraphValidation:
@@ -91,11 +113,8 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             FourRegularGraph(1, ((0, 1, 2), (3,)))
 
-    def test_default_labels_fill_in(self):
-        g = FourRegularGraph(1, ((0, 1), (2, 3)))
-        assert g.edge_labels == ("e0", "e1")
-        assert g.vertex_labels == ("u0",)
-        assert g.edge_kinds == (REAL, REAL)
+    def test_a_graph_is_its_slot_matching(self):
+        assert [f.name for f in fields(FourRegularGraph)] == ["n_vertices", "edges"]
 
     def test_route_codes_validated(self):
         with pytest.raises(ValueError):
@@ -157,7 +176,7 @@ class TestEncodePermutation:
         enc = encode_permutation(PI7)
         assert enc.graph.n_vertices == 8
         assert len(enc.graph.edges) == 16
-        assert enc.graph.vertex_labels == tuple("v%d" % v for v in range(8))
+        assert permutation_names(enc)[0] == tuple("v%d" % v for v in range(8))
         assert len(circuits(enc.graph, enc.pa)) == 1
         assert len(circuits(enc.graph, enc.pb)) == 5
 
@@ -171,7 +190,7 @@ class TestEncodePermutation:
 
     def test_seven_element_example_target_circuits(self):
         enc = encode_permutation(PI7)
-        labels = circuit_label_sets(enc.graph, enc.pb)
+        labels = circuit_label_sets(permutation_names(enc)[1], enc.graph, enc.pb)
         assert ["$", "1", "2", "3", "4", "5", "6", "7"] in labels
         intermediates = [ls for ls in labels if all(l.startswith("I") for l in ls)]
         assert intermediates == [
@@ -180,25 +199,25 @@ class TestEncodePermutation:
             ["I4", "I8"],
             ["I5", "I7"],
         ]
-        assert target_circuit_count(enc.graph, enc.pb) == 4
+        assert target_circuit_count(enc) == 4
 
     def test_single_element(self):
         enc = encode_permutation(SignedPermutation((1,)))
         assert enc.graph.n_vertices == 2
-        assert sorted(enc.graph.edge_labels) == ["$", "1", "I1", "I2"]
+        assert sorted(permutation_names(enc)[1]) == ["$", "1", "I1", "I2"]
         assert len(circuits(enc.graph, enc.pb)) == 3
-        assert target_circuit_count(enc.graph, enc.pb) == 2
+        assert target_circuit_count(enc) == 2
 
     def test_empty_permutation(self):
         enc = encode_permutation(SignedPermutation(()))
         assert enc.graph.n_vertices == 1
-        assert sorted(enc.graph.edge_labels) == ["$", "I1"]
+        assert sorted(permutation_names(enc)[1]) == ["$", "I1"]
         assert len(circuits(enc.graph, enc.pb)) == 2
-        assert target_circuit_count(enc.graph, enc.pb) == 1
+        assert target_circuit_count(enc) == 1
 
     def test_edge_kinds_partition_the_traversal(self):
         enc = encode_permutation(PI7)
-        kinds = enc.graph.edge_kinds
+        kinds = permutation_names(enc)[2]
         assert kinds.count(ANCHOR) == 1
         assert kinds.count(REAL) == 7
         assert kinds.count(INTERMEDIATE) == 8
@@ -212,7 +231,7 @@ class TestEncodePermutation:
     def test_identity_intermediates_are_length_one_circuits(self):
         for n in range(7):
             enc = encode_permutation(identity(n))
-            assert target_circuit_count(enc.graph, enc.pb) == n + 1
+            assert target_circuit_count(enc) == n + 1
 
     def test_breakpoint_positions(self):
         enc = encode_permutation(PI7)
@@ -223,7 +242,8 @@ class TestEncodePermutation:
 
 
 class TestExactLayout:
-    """Slot numbers, labels, kinds and routes of both encoders, pinned."""
+    """Slot numbers, flags and routes of both encoders, and the names of a
+    permutation encoding, pinned."""
 
     def test_permutation_encoding(self):
         enc = encode_permutation(PI7)
@@ -234,12 +254,17 @@ class TestExactLayout:
         )
         assert enc.pa.routes == (1,) * 8
         assert enc.pb.routes == (3, 2, 2, 3, 2, 3, 2, 3)
-        assert g.edge_labels == (
+        assert enc.intermediate == bytes((
+            0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1,
+            0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0,
+        ))
+        vertices, labels, kinds = permutation_names(enc)
+        assert labels == (
             "$", "I1", "1", "I2", "6", "I3", "7", "I4",
             "4", "I5", "2", "I6", "5", "I7", "3", "I8",
         )
-        assert g.edge_kinds == (ANCHOR,) + (INTERMEDIATE, REAL) * 7 + (INTERMEDIATE,)
-        assert g.vertex_labels == tuple("v%d" % v for v in range(8))
+        assert kinds == (ANCHOR,) + (INTERMEDIATE, REAL) * 7 + (INTERMEDIATE,)
+        assert vertices == tuple("v%d" % v for v in range(8))
         assert enc.junction_sequence == (0, 0, 1, 6, 5, 6, 7, 3, 4, 2, 1, 5, 4, 2, 3, 7)
 
     def test_circular_genome_encoding(self):
@@ -253,10 +278,43 @@ class TestExactLayout:
         )
         assert enc.pa.routes == (1,) * 5
         assert enc.pb.routes == (3,) * 5
-        assert g.edge_labels == ("a", "I1", "b", "I2", "c", "I3", "d", "I4", "e", "I5")
-        assert g.edge_kinds == (REAL, INTERMEDIATE) * 5
-        assert g.vertex_labels == ("a.h,c.t", "a.t,e.h", "b.h,d.h", "b.t,d.t", "c.h,e.t")
+        assert enc.intermediate == bytes((
+            0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0,
+        ))
         assert enc.n == 5 and enc.junction_sequence == ()
+
+
+class TestIntermediateFlags:
+    """Both encodings flag exactly the two slots of every odd-numbered edge,
+    and the names of a permutation encoding follow the flags."""
+
+    def test_permutation_flags_and_names_over_the_sweep(self, small_sweep):
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                p = row.perm
+                enc = encode_permutation(p)
+                assert enc.intermediate == odd_edge_slots(enc), p
+                vertices, labels, kinds = permutation_names(enc)
+                n = len(p)
+                assert vertices == tuple("v%d" % v for v in range(n + 1))
+                assert labels == ("$",) + tuple(
+                    label
+                    for i, k in enumerate(p.values, start=1)
+                    for label in ("I%d" % i, str(abs(k)))
+                ) + ("I%d" % (n + 1),)
+                assert kinds == (ANCHOR,) + (INTERMEDIATE, REAL) * n + (INTERMEDIATE,)
+                for (a, b), kind in zip(enc.graph.edges, kinds):
+                    flagged = enc.intermediate[a] + enc.intermediate[b]
+                    assert flagged == (2 if kind == INTERMEDIATE else 0), p
+
+    def test_circular_genome_flags_on_seeded_pairs(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            n = rng.randint(1, 300)
+            ga, gb = (random_chromosomes(n, rng, 1.0) for _ in range(2))
+            enc = encode_circular_genomes(ga, gb)
+            assert enc.intermediate == odd_edge_slots(enc)
+            assert sum(enc.intermediate) == 2 * n
 
 
 class TestEulerAndSupplementary:
@@ -312,14 +370,14 @@ class TestEncodeCircularGenomes:
         g = parse_genome("C: a b")
         enc = encode_circular_genomes(g, parse_genome("C: a b"))
         assert enc.n == 2
-        assert target_circuit_count(enc.graph, enc.pb) == 2
+        assert target_circuit_count(enc) == 2
 
     def test_real_circuits_spell_the_target(self):
         ga = parse_genome("C: a -b c\nC: d e")
         gb = parse_genome("C: a c e\nC: b -d")
         enc = encode_circular_genomes(ga, gb)
-        labels = circuit_label_sets(enc.graph, enc.pb)
-        real = [ls for ls in labels if not any(l.startswith("I") for l in ls)]
+        labels = circuit_label_sets(genome_edge_labels(ga), enc.graph, enc.pb)
+        real = [ls for ls in labels if "I" not in ls]
         assert sorted(real) == [["a", "c", "e"], ["b", "d"]]
         # the source partition walks one circuit per source chromosome
         assert len(circuits(enc.graph, enc.pa)) == 2
@@ -398,7 +456,7 @@ class TestReversalCircuitDelta:
     @staticmethod
     def c(p):
         enc = encode_permutation(p)
-        return target_circuit_count(enc.graph, enc.pb)
+        return target_circuit_count(enc)
 
     def test_single_reversal_moves_c_by_at_most_one_small(self):
         for n in range(5):
@@ -432,9 +490,10 @@ class TestLowerBoundAgainstOracle:
 class TestExports:
     def test_dot_lists_every_edge_and_vertex(self):
         enc = encode_permutation(PI7)
-        dot = graph_to_dot(enc.graph, enc.pb)
+        vertices, labels, _ = permutation_names(enc)
+        dot = graph_to_dot(enc.graph, enc.pb, vertices, labels)
         assert dot.count(" -- ") == 16
-        for lab in enc.graph.vertex_labels:
+        for lab in vertices + labels:
             assert '"%s"' % lab in dot
         assert "color=" in dot
 

@@ -293,7 +293,7 @@ class TestNullityTheorem:
             enc = encode_permutation(p)
             h = circle_graph(enc.graph, enc.pa, enc.pb)
             assert h == circle_graph_via_routes(enc.graph, enc.pa, enc.pb)
-            c = target_circuit_count(enc.graph, enc.pb)
+            c = target_circuit_count(enc)
             assert adjacency_matrix(h).nullity() == c
 
     @settings(max_examples=40, deadline=None)
