@@ -12,6 +12,7 @@ from .perm import (
     Chromosome,
     Genome,
     ReversalInterval,
+    ReversalScript,
     SignedPermutation,
     apply_reversal,
     identity,
@@ -42,7 +43,6 @@ from .localcomp import (
 )
 from .sorter import (
     DistanceReport,
-    ReversalScript,
     reversal_distance,
     reversal_for_vertex,
     sort_by_reversals,

@@ -55,16 +55,7 @@ class SetSystem:
         )
 
     def _mask(self, subset) -> int:
-        pos = {e: i for i, e in enumerate(self.ground)}
-        mask = 0
-        for e in subset:
-            if e not in pos:
-                raise ValueError("element %r outside the ground set" % (e,))
-            mask |= 1 << pos[e]
-        return mask
-
-    def contains(self, subset) -> bool:
-        return self._mask(subset) in self.masks
+        return _mask({e: i for i, e in enumerate(self.ground)}, subset)
 
     def to_json(self) -> dict:
         return {
@@ -73,19 +64,21 @@ class SetSystem:
         }
 
 
+def _mask(pos: dict, subset) -> int:
+    """The bitmask of subset, where pos maps each ground element to its bit."""
+    mask = 0
+    for e in subset:
+        if e not in pos:
+            raise ValueError("element %r outside the ground set" % (e,))
+        mask |= 1 << pos[e]
+    return mask
+
+
 def set_system(ground, family) -> SetSystem:
     """Build a SetSystem from element iterables."""
     ground = tuple(sorted(set(ground)))
     pos = {e: i for i, e in enumerate(ground)}
-    masks = set()
-    for s in family:
-        mask = 0
-        for e in s:
-            if e not in pos:
-                raise ValueError("element %r outside the ground set" % (e,))
-            mask |= 1 << pos[e]
-        masks.add(mask)
-    return SetSystem(ground, frozenset(masks))
+    return SetSystem(ground, frozenset(_mask(pos, s) for s in family))
 
 
 def is_delta_matroid(d: SetSystem) -> bool:

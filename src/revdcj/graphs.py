@@ -106,10 +106,6 @@ class LoopedGraph:
         """Bit i set iff vertices[i] carries a loop."""
         return sum(row & (1 << i) for i, row in enumerate(self.rows))
 
-    def has_loop(self, v: int) -> bool:
-        i = self.vertices.index(v)
-        return bool(self.rows[i] >> i & 1)
-
     def neighbors(self, v: int) -> frozenset[int]:
         i = self.vertices.index(v)
         return frozenset(self.vertices[j] for j in _bits(self.rows[i] & ~(1 << i)))
@@ -152,13 +148,6 @@ def component_masks(h: LoopedGraph):
             comp |= frontier
         rest ^= comp
         yield comp
-
-
-def connected_components(h: LoopedGraph) -> tuple[frozenset[int], ...]:
-    """Components under non-loop edges, sorted by least vertex."""
-    return tuple(
-        frozenset(h.vertices[i] for i in _bits(comp)) for comp in component_masks(h)
-    )
 
 
 @dataclass(frozen=True)

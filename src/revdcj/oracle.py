@@ -61,14 +61,6 @@ def enumerate_signed_permutations(n: int):
             )
 
 
-def all_reversals(n: int) -> tuple[ReversalInterval, ...]:
-    return tuple(
-        ReversalInterval(i, j)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-    )
-
-
 def _reversal_successors(state: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every signed permutation one reversal away, as value tuples.
 

@@ -2,8 +2,12 @@
 
 A signed permutation is a sequence of nonzero integers whose absolute
 values are exactly 1..n.  A reversal flips a contiguous block and negates
-every entry in it.  Genomes are unordered collections of linear or
-circular chromosomes over string marker names, each name used once.
+every entry in it.  A reversal script is its source and its intervals:
+its constructor replays them once through ``apply_reversal`` and refuses a
+script that does not end at the identity, and its ``steps`` replay them
+again when read, so no script keeps the permutations in between.  Genomes
+are unordered collections of linear or circular chromosomes over string
+marker names, each name used once.
 
 The sequence rules that the DCJ and 4-regular views share live here once:
 which marker extremities meet at each junction of a chromosome and at its
@@ -74,10 +78,6 @@ class SignedPermutation:
         object.__setattr__(p, "values", values)
         return p
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -121,6 +121,51 @@ def apply_reversal(p: SignedPermutation, r: ReversalInterval) -> SignedPermutati
     return SignedPermutation._trusted(v[:i] + block + v[j:])
 
 
+@dataclass(frozen=True)
+class ReversalScript:
+    """A sequence of reversals that takes source to the identity.
+
+    A script is its intervals.  Construction replays them once through
+    ``apply_reversal``, keeping only the current permutation, and raises
+    unless the replay ends at the identity; ``steps`` replays them again
+    on every read.
+    """
+
+    source: SignedPermutation
+    intervals: tuple[ReversalInterval, ...]
+
+    def __post_init__(self):
+        cur = self.source
+        for interval in self.intervals:
+            cur = apply_reversal(cur, interval)
+        if not is_identity(cur):
+            raise ValueError("script does not end at the identity")
+
+    @property
+    def claimed_distance(self) -> int:
+        return len(self.intervals)
+
+    @property
+    def steps(self) -> tuple[tuple[ReversalInterval, SignedPermutation], ...]:
+        """Each interval paired with the permutation it leaves."""
+        steps = []
+        cur = self.source
+        for interval in self.intervals:
+            cur = apply_reversal(cur, interval)
+            steps.append((interval, cur))
+        return tuple(steps)
+
+    def to_json(self) -> dict:
+        return {
+            "source": self.source.to_json(),
+            "steps": [
+                {"reversal": [i.start, i.end], "result": q.to_json()}
+                for i, q in self.steps
+            ],
+            "claimed_distance": self.claimed_distance,
+        }
+
+
 def reverse_complement(p: SignedPermutation) -> SignedPermutation:
     """The same chromosome read from the other strand: (-pn, ..., -p1)."""
     return SignedPermutation(tuple(-v for v in reversed(p.values)))
@@ -138,10 +183,6 @@ def parse_permutation(text: str) -> SignedPermutation:
         except ValueError:
             raise ValueError("malformed token %r" % tok) from None
     return SignedPermutation(tuple(values))
-
-
-def permutation_from_json(data: dict) -> SignedPermutation:
-    return SignedPermutation(tuple(data["values"]))
 
 
 # ---------------------------------------------------------------------------

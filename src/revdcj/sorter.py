@@ -7,12 +7,15 @@ reversal distance and the greedy sorter emits a script of that length.  It
 encodes the permutation and builds its circle graph once, then follows
 the greedy lc-sequence (``localcomp.greedy_strips``): each stripped vertex
 stands for one reversal, read off the current permutation through a
-value -> position array that is updated over each reversed block.
+value -> position array that is updated over each reversed block.  The
+loop keeps the current permutation and the intervals only; the script
+(``perm.ReversalScript``) is those intervals.
 
 Under the verify switch (``revdcj.verify``) the sorter also rebuilds the
 circle graph from each new permutation and checks that it equals the strip
 the greedy loop took.  That costs a circle graph per step, so it stays off
-the default path; the O(n) replay of every script step always runs.
+the default path; the script constructor's O(n) replay of every step
+always runs.
 ``reversal_distance`` checks the GF(2) rank against n + 1 - c on every
 call.
 """
@@ -28,8 +31,8 @@ from .localcomp import greedy_strips, has_full_lc_sequence
 # no code calls these two through this module: the import only keeps the
 # names that bench/spans.py wraps resolvable
 from .localcomp import lc_strip, ms_set  # noqa: F401
-from .perm import ReversalInterval, SignedPermutation, apply_reversal, is_identity
-from .perm import reverse_complement
+from .perm import ReversalInterval, ReversalScript, SignedPermutation
+from .perm import apply_reversal, is_identity, reverse_complement
 
 
 def circuit_count(p: SignedPermutation) -> int:
@@ -87,40 +90,6 @@ def reversal_for_vertex(p: SignedPermutation, v: int, pos=None) -> ReversalInter
     return ReversalInterval(ta // 2 + 1, tb // 2)
 
 
-@dataclass(frozen=True)
-class ReversalScript:
-    """A validated sequence of reversals from source to the identity."""
-
-    source: SignedPermutation
-    steps: tuple[tuple[ReversalInterval, SignedPermutation], ...]
-
-    def __post_init__(self):
-        cur = self.source
-        for interval, expected in self.steps:
-            cur = apply_reversal(cur, interval)
-            if cur != expected:
-                raise ValueError("script step does not replay")
-        if not is_identity(cur):
-            raise ValueError("script does not end at the identity")
-
-    @property
-    def claimed_distance(self) -> int:
-        return len(self.steps)
-
-    def intervals(self) -> tuple[ReversalInterval, ...]:
-        return tuple(interval for interval, _ in self.steps)
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "steps": [
-                {"reversal": [i.start, i.end], "result": q.to_json()}
-                for i, q in self.steps
-            ],
-            "claimed_distance": self.claimed_distance,
-        }
-
-
 def sort_by_reversals(p: SignedPermutation) -> ReversalScript | None:
     """Greedy optimal script, or None when the criterion fails.
 
@@ -136,7 +105,7 @@ def sort_by_reversals(p: SignedPermutation) -> ReversalScript | None:
         return None
     checking = verify.enabled()
     pos = _positions(p)
-    steps = []
+    intervals = []
     cur = p
     for v, stripped in greedy_strips(h):
         interval = reversal_for_vertex(cur, v, pos)
@@ -149,10 +118,10 @@ def sort_by_reversals(p: SignedPermutation) -> ReversalScript | None:
                 raise AssertionError(
                     "circle graph after %s is not the strip at v%d" % (interval, v)
                 )
-        steps.append((interval, cur))
+        intervals.append(interval)
     if not is_identity(cur):
         raise AssertionError("edge-free circle graph on a non-identity permutation")
-    return ReversalScript(p, tuple(steps))
+    return ReversalScript(p, tuple(intervals))
 
 
 @dataclass(frozen=True)

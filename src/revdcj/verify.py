@@ -14,7 +14,8 @@ Off by default.  While it is on, these run as well:
 
 The test suite runs with it on; the CLI turns it on with ``--verify``.
 The ``rank == n + 1 - c`` check in ``sorter.reversal_distance`` runs
-with the switch on or off.
+with the switch on or off, and so does the replay of every script to the
+identity, which is ``perm.ReversalScript``'s constructor.
 """
 
 from __future__ import annotations

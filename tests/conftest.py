@@ -1,8 +1,10 @@
 """Shared fixtures: the verify switch, on for the whole session, the
 exhaustive small-permutation sweep, random generators, the
 route-switching reference circle graph, the breakpoint reference adjacency
-graph and the paper's sequence laws used across the suite, plus a terminal
-summary that prints one pass/fail line per acceptance criterion."""
+graph and the paper's sequence laws used across the suite, the small
+readers that only the tests need (a loop, the components, every reversal,
+a permutation's JSON form, set membership), plus a terminal summary that
+prints one pass/fail line per acceptance criterion."""
 
 import random
 import re
@@ -26,7 +28,7 @@ from revdcj.fourreg import (
     switch_route,
     _slot_walk,
 )
-from revdcj.graphs import LoopedGraph, adjacency_matrix, looped_graph
+from revdcj.graphs import LoopedGraph, adjacency_matrix, component_masks, looped_graph
 from revdcj.localcomp import LcSequence, has_full_lc_sequence, lc_strip
 from revdcj.oracle import enumerate_signed_permutations, reversal_distance_table
 from revdcj.perm import (
@@ -37,6 +39,7 @@ from revdcj.perm import (
     Chromosome,
     Extremity,
     Genome,
+    ReversalInterval,
     SignedPermutation,
     genome_from_mates,
     marker_numbers,
@@ -53,6 +56,36 @@ def verify_switch():
     the super-linear cross-checks (see ``revdcj.verify``)."""
     with verifying():
         yield
+
+
+def has_loop(h: LoopedGraph, v: int) -> bool:
+    i = h.vertices.index(v)
+    return bool(h.rows[i] >> i & 1)
+
+
+def connected_components(h: LoopedGraph) -> tuple[frozenset[int], ...]:
+    """Components under non-loop edges, sorted by least vertex."""
+    return tuple(
+        frozenset(v for i, v in enumerate(h.vertices) if comp >> i & 1)
+        for comp in component_masks(h)
+    )
+
+
+def all_reversals(n: int) -> tuple[ReversalInterval, ...]:
+    return tuple(
+        ReversalInterval(i, j)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    )
+
+
+def permutation_from_json(data: dict) -> SignedPermutation:
+    return SignedPermutation(tuple(data["values"]))
+
+
+def contains(d: SetSystem, subset) -> bool:
+    """True iff subset, given by its elements, is a member of d."""
+    return d._mask(subset) in d.masks
 
 
 def _interleaved(occ_u: tuple[int, int], occ_w: tuple[int, int]) -> bool:
@@ -146,7 +179,7 @@ def _strip_along(h: LoopedGraph, seq: LcSequence) -> LoopedGraph | None:
     """The graph left after stripping at each vertex of seq in turn, or
     None when some vertex is missing or loopless when its turn comes."""
     for v in seq.vertices:
-        if v not in h.vertices or not h.has_loop(v):
+        if v not in h.vertices or not has_loop(h, v):
             return None
         h = lc_strip(h, v)
     return h

@@ -31,7 +31,6 @@ from revdcj.fourreg import (
 from revdcj.graphs import (
     adjacency_matrix,
     circle_graph,
-    connected_components,
     matrix_pretty,
 )
 from revdcj.localcomp import lc_contract, lc_strip, local_complement, ms_set
@@ -53,7 +52,9 @@ from revdcj.sorter import (
 
 from conftest import (
     SWEEP_MAX_N,
+    all_reversals,
     circle_graph_via_routes,
+    connected_components,
     marker_names,
     random_genome,
     random_looped_graph,
@@ -270,7 +271,7 @@ def test_criterion_9_route_switch_law_and_reversal_delta(criterion_note):
         )
         assert sizes[0] == sizes[1] == sizes[2] - 1
 
-    from revdcj.oracle import all_reversals, enumerate_signed_permutations
+    from revdcj.oracle import enumerate_signed_permutations
 
     checked = 0
     for n in range(SWEEP_MAX_N + 1):

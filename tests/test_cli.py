@@ -18,7 +18,6 @@ from revdcj.perm import (
     SignedPermutation,
     apply_reversal,
     ReversalInterval,
-    permutation_from_json,
 )
 from revdcj.sorter import circuit_count, permutation_circle_graph
 from revdcj.verify import enabled, verifying
@@ -26,6 +25,7 @@ from revdcj.verify import enabled, verifying
 from conftest import (
     breakpoint_positions,
     graph_from_json,
+    permutation_from_json,
     sabotage_lc_strip,
     set_system_from_json,
 )

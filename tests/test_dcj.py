@@ -39,6 +39,7 @@ from revdcj.sorter import distance_lower_bound
 from revdcj.verify import verifying
 
 from conftest import (
+    all_reversals,
     marker_names,
     random_chromosomes,
     random_genome,
@@ -330,7 +331,7 @@ class TestEnumerateMoves:
                 assert dcj_distance(g, m) == 1
 
     def test_reversals_are_among_the_moves(self):
-        from revdcj.oracle import all_reversals, enumerate_signed_permutations
+        from revdcj.oracle import enumerate_signed_permutations
 
         rng = random.Random(21)
         perms = list(enumerate_signed_permutations(3))
@@ -340,7 +341,7 @@ class TestEnumerateMoves:
         for p in perms:
             g = genome_of_perm(p)
             moves = set(enumerate_dcj_moves(g))
-            for interval in all_reversals(p.n):
+            for interval in all_reversals(len(p)):
                 q = genome_of_perm(apply_reversal(p, interval))
                 if q != g:
                     assert q in moves

@@ -25,7 +25,7 @@ from revdcj.fourreg import (
     target_circuit_count,
     _slot_walk,
 )
-from revdcj.oracle import all_reversals, enumerate_signed_permutations
+from revdcj.oracle import enumerate_signed_permutations
 from revdcj.perm import (
     SignedPermutation,
     apply_reversal,
@@ -34,7 +34,12 @@ from revdcj.perm import (
     parse_genome,
 )
 
-from conftest import breakpoint_positions, least_cycle_by_brute_force, random_chromosomes
+from conftest import (
+    all_reversals,
+    breakpoint_positions,
+    least_cycle_by_brute_force,
+    random_chromosomes,
+)
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 

@@ -12,7 +12,6 @@ from revdcj.oracle import (
     _decode_state,
     _encode_state,
     _state_successors,
-    all_reversals,
     brute_dcj_distance,
     brute_reversal_distance,
     enumerate_signed_permutations,
@@ -28,7 +27,7 @@ from revdcj.perm import (
     parse_genome,
 )
 
-from conftest import marker_names, random_genome
+from conftest import all_reversals, marker_names, random_genome
 
 PI7 = SignedPermutation((1, -6, 7, 4, -2, -5, 3))
 

@@ -22,7 +22,6 @@ from revdcj.perm import (
     marker_numbers,
     parse_genome,
     parse_permutation,
-    permutation_from_json,
     reverse_complement,
 )
 
@@ -31,6 +30,7 @@ from revdcj.verify import verifying
 from conftest import (
     least_cycle_by_brute_force,
     marker_names,
+    permutation_from_json,
     random_chromosomes,
     signed_permutations,
 )

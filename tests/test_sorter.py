@@ -1,7 +1,9 @@
 """The reversal-distance pipeline: bounds, scripts, and reports."""
 
 import random
+import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,7 @@ from revdcj.verify import enabled, verifying
 
 from conftest import (
     breakpoint_positions,
+    has_loop,
     sabotage_lc_strip,
     sabotage_lc_strip_loop,
     signed_permutations,
@@ -52,6 +55,14 @@ def interval_via_junctions(enc, v):
     if (tb - ta) % 2:
         return None
     return ReversalInterval(ta // 2 + 1, tb // 2)
+
+
+def uniform(n, seed):
+    """A seeded uniform signed permutation of 1..n."""
+    rng = random.Random(seed)
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    return SignedPermutation(tuple(v * rng.choice((1, -1)) for v in values))
 
 
 def scrambled(n, reversals, seed):
@@ -160,7 +171,7 @@ class TestReversalForVertex:
             for row in rows:
                 h = permutation_circle_graph(row.perm)
                 for v in h.vertices:
-                    if h.has_loop(v):
+                    if has_loop(h, v):
                         reversal_for_vertex(row.perm, v)
                     else:
                         with pytest.raises(ValueError):
@@ -200,19 +211,29 @@ class TestScriptsAtScale:
         assert_script_replays(p)
 
     def test_uniform_permutation_at_n_1000(self):
-        rng = random.Random(1000)
-        values = list(range(1, 1001))
-        rng.shuffle(values)
-        p = SignedPermutation(tuple(v * rng.choice((1, -1)) for v in values))
         with verifying(False):
-            assert assert_script_replays(p) is not None
+            assert assert_script_replays(uniform(1000, seed=1000)) is not None
+
+    def test_script_at_n_1000_keeps_no_intermediate_permutation(self):
+        # d steps of n entries would peak near 14 MB; the rows and the
+        # intervals take under 1 MB
+        p = uniform(1000, seed=5)
+        tracemalloc.start()
+        try:
+            with verifying(False):
+                script = sort_by_reversals(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert script is not None and script.claimed_distance > 900
+        assert peak < 3 * 2**20, peak
 
     @settings(max_examples=25, deadline=None)
     @given(signed_permutations(max_n=300))
     def test_oriented_exactly_at_looped_vertices(self, p):
         h = permutation_circle_graph(p)
         for v in h.vertices:
-            if h.has_loop(v):
+            if has_loop(h, v):
                 reversal_for_vertex(p, v)
             else:
                 with pytest.raises(ValueError):
@@ -222,17 +243,35 @@ class TestScriptsAtScale:
 class TestReversalScript:
     def test_replay_validation_rejects_wrong_steps(self):
         with pytest.raises(ValueError):
-            ReversalScript(
-                SignedPermutation((2, 1)),
-                ((ReversalInterval(1, 1), SignedPermutation((1, 2))),),
-            )
+            ReversalScript(SignedPermutation((2, 1)), (ReversalInterval(1, 1),))
 
     def test_replay_validation_requires_identity_at_the_end(self):
         with pytest.raises(ValueError):
-            ReversalScript(
-                SignedPermutation((-1, 2)),
-                ((ReversalInterval(2, 2), SignedPermutation((-1, -2))),),
-            )
+            ReversalScript(SignedPermutation((-1, 2)), (ReversalInterval(2, 2),))
+
+    def test_interval_past_n_is_refused(self):
+        with pytest.raises(ValueError, match="out of bounds"):
+            ReversalScript(SignedPermutation((-1,)), (ReversalInterval(1, 2),))
+
+    def test_a_script_is_its_source_and_intervals(self):
+        assert [f.name for f in fields(ReversalScript)] == ["source", "intervals"]
+
+    def test_steps_replay_the_intervals_over_the_sweep(self, small_sweep):
+        # the reference flips value tuples by hand, apart from apply_reversal
+        for rows in small_sweep.rows.values():
+            for row in rows:
+                if not row.sortable:
+                    continue
+                script = sort_by_reversals(row.perm)
+                values = row.perm.values
+                expected = []
+                for r in script.intervals:
+                    i, j = r.start - 1, r.end
+                    block = tuple(-x for x in values[i:j][::-1])
+                    values = values[:i] + block + values[j:]
+                    expected.append((r, values))
+                assert [(r, q.values) for r, q in script.steps] == expected
+                assert values == identity(len(row.perm)).values
 
     def test_json_carries_the_intervals(self):
         script = sort_by_reversals(PI7)
@@ -247,7 +286,7 @@ class TestSortByReversals:
     def test_seven_element_example_script(self):
         script = sort_by_reversals(PI7)
         assert script is not None
-        assert [(r.start, r.end) for r in script.intervals()] == [
+        assert [(r.start, r.end) for r in script.intervals] == [
             (2, 5), (4, 7), (3, 4), (6, 6),
         ]
         assert script.claimed_distance == 4
