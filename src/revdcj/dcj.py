@@ -33,9 +33,9 @@ of the mate array and read the result back with ``perm.genome_from_mates``;
 For pairs of all-circular genomes the same number falls out of the
 4-regular encoding as n minus the count of intermediate-only circuits;
 that route is kept as an independent cross-check, which shares no code
-with ``_walk``.  It builds the name-free encoding under the sorted numbering
-(``fourreg.encode_circular_genomes``) and counts its circuits with
-``fourreg.target_circuit_count``.
+with ``_walk``.  It builds the name-free encoding, numbering the markers
+in ga's reading order too (``fourreg.encode_circular_genomes``), and
+counts its circuits with ``fourreg.target_circuit_count``.
 """
 
 from __future__ import annotations

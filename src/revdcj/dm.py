@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fourreg import CircuitPartition, FourRegularGraph, is_euler_system, supplementary
-from .graphs import LoopedGraph, adjacency_matrix, gf2_rank
+from .graphs import LoopedGraph, gf2_rank
 
 GROUND_CAP = 16
 
@@ -122,14 +122,13 @@ def from_graph(h: LoopedGraph) -> SetSystem:
     """
     if len(h.vertices) > GROUND_CAP:
         raise ValueError("graph too large for subset enumeration")
-    full = adjacency_matrix(h)
-    n = full.size()
+    n = len(h.rows)
     members = set()
     for mask in range(1 << n):
         rows = []
         for i in range(n):
             if mask >> i & 1:
-                rows.append(full.rows[i] & mask)
+                rows.append(h.rows[i] & mask)
         # invertible iff full rank after restricting columns to the subset
         if gf2_rank(rows) == mask.bit_count():
             members.add(mask)

@@ -38,15 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .perm import (
-    CIRCULAR,
-    Genome,
-    SignedPermutation,
-    breakpoint_ids,
-    least_rotation,
-    marker_numbers,
-    pair_numbers,
-)
+from .perm import CIRCULAR, Genome, SignedPermutation, least_rotation, pair_numbers
 
 ANCHOR = "anchor"
 REAL = "real"
@@ -322,30 +314,33 @@ def encode_circular_genomes(ga: Genome, gb: Genome) -> PermEncoding:
 
     Expansion inserts an intermediate segment at every junction of ga; the
     merged vertices are the adjacencies of gb, each holding two marker
-    extremities.  pb pairs the marker ends at every vertex, so its real
-    circuits spell gb's chromosomes and every other circuit is a cycle of
-    intermediates; their count c gives the DCJ distance as n - c.
+    extremities.  Markers are numbered in ga's reading order
+    (``perm.pair_numbers``), as for every count over a pair.  pb pairs the
+    marker ends at every vertex, so its real circuits spell gb's
+    chromosomes and every other circuit is a cycle of intermediates; their
+    count c gives the DCJ distance as n - c.
     """
     for g in (ga, gb):
         for chrom in g.chromosomes:
             if chrom.shape != CIRCULAR:
                 raise ValueError("encoding requires all-circular chromosomes")
-    reading = pair_numbers(ga, gb)
-    number = marker_numbers(reading)
-    vertices = breakpoint_ids(gb.mates(number))
-    vertex_of = [0] * (2 * len(number))
-    for v, (a, b) in enumerate(vertices):
-        vertex_of[a] = vertex_of[b] = v
+    number = pair_numbers(ga, gb)
+    mate = gb.mates(number)
+    # one vertex per adjacency of gb, in the order of its lower extremity
+    vertex_of = [0] * len(mate)
+    for v, x in enumerate([x for x, y in enumerate(mate) if x < y]):
+        vertex_of[x] = vertex_of[mate[x]] = v
 
     # junction after marker i, then after the intermediate that follows it
     cycles = [
         [vertex_of[x] for adj in chrom.junction_ids(number) for x in adj]
         for chrom in ga.chromosomes
     ]
-    edges, pb, intermediate = _expand(cycles, len(vertices))
-    graph = FourRegularGraph(len(vertices), edges)
-    pa = CircuitPartition((1,) * len(vertices))
-    return PermEncoding(graph, pa, pb, len(number), intermediate)
+    n = len(number)
+    edges, pb, intermediate = _expand(cycles, n)
+    graph = FourRegularGraph(n, edges)
+    pa = CircuitPartition((1,) * n)
+    return PermEncoding(graph, pa, pb, n, intermediate)
 
 
 # ---------------------------------------------------------------------------

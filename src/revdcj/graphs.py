@@ -77,20 +77,6 @@ class LoopedGraph:
         if upper != lower:
             raise ValueError("rows are not symmetric")
 
-    @classmethod
-    def _trusted(
-        cls, vertices: tuple[int, ...], rows: tuple[int, ...]
-    ) -> LoopedGraph:
-        """Rows the library built itself (a circle graph, or a local
-        complement of valid rows); they are validated, in O(n + |E|), only
-        while the verify switch is on."""
-        if verify.enabled():
-            return cls(vertices, rows)
-        h = object.__new__(cls)
-        object.__setattr__(h, "vertices", vertices)
-        object.__setattr__(h, "rows", rows)
-        return h
-
     @cached_property
     def edges(self) -> frozenset[frozenset[int]]:
         """Edges as vertex sets, derived from the rows; loops have size 1."""
@@ -238,7 +224,9 @@ def circle_graph(
         if first:
             # a vertex left for another circuit of its component
             raise ValueError("p1 is not an Euler system")
-    return LoopedGraph._trusted(tuple(range(g.n_vertices)), tuple(rows))
+    return verify.trusted(
+        LoopedGraph, vertices=tuple(range(g.n_vertices)), rows=tuple(rows)
+    )
 
 
 def looped_graph_to_dot(h: LoopedGraph) -> str:

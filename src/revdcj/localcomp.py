@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import verify
-from .graphs import LoopedGraph, _bits, adjacency_matrix, component_masks
+from .graphs import LoopedGraph, _bits, component_masks, gf2_rank
 
 
 def _looped_row(h: LoopedGraph, v: int) -> tuple[int, int]:
@@ -45,7 +45,7 @@ def local_complement(h: LoopedGraph, v: int) -> LoopedGraph:
     rows = list(h.rows)
     for j in _bits(hood):
         rows[j] ^= hood
-    return LoopedGraph._trusted(h.vertices, tuple(rows))
+    return verify.trusted(LoopedGraph, vertices=h.vertices, rows=tuple(rows))
 
 
 def lc_strip(h: LoopedGraph, v: int) -> LoopedGraph:
@@ -55,7 +55,7 @@ def lc_strip(h: LoopedGraph, v: int) -> LoopedGraph:
     for j in _bits(row ^ (1 << i)):
         rows[j] ^= row
     rows[i] = 0
-    return LoopedGraph._trusted(h.vertices, tuple(rows))
+    return verify.trusted(LoopedGraph, vertices=h.vertices, rows=tuple(rows))
 
 
 def lc_contract(h: LoopedGraph, v: int) -> LoopedGraph:
@@ -63,9 +63,10 @@ def lc_contract(h: LoopedGraph, v: int) -> LoopedGraph:
     stripped = lc_strip(h, v)
     i = h.vertices.index(v)
     low = (1 << i) - 1
-    return LoopedGraph._trusted(
-        h.vertices[:i] + h.vertices[i + 1 :],
-        tuple(
+    return verify.trusted(
+        LoopedGraph,
+        vertices=h.vertices[:i] + h.vertices[i + 1 :],
+        rows=tuple(
             row & low | row >> (i + 1) << i
             for j, row in enumerate(stripped.rows)
             if j != i
@@ -171,6 +172,6 @@ def find_full_lc_sequence(h: LoopedGraph) -> LcSequence | None:
     if not has_full_lc_sequence(h):
         return None
     seq = LcSequence(tuple(v for v, _ in greedy_strips(h)))
-    if verify.enabled() and len(seq) != adjacency_matrix(h).rank():
+    if verify.enabled() and len(seq) != gf2_rank(h.rows):
         raise AssertionError("greedy sequence length differs from matrix rank")
     return seq

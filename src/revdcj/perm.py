@@ -27,9 +27,9 @@ markers.  ``genome_from_mates`` reads a mate array back as a genome, and
 
 ``parse_genome`` and ``genome_from_json`` read each marker token once and
 find repeated markers with one set over the whole genome; they and
-``genome_from_mates`` then build through ``Chromosome._trusted`` and
-``Genome._trusted``, which validate again only under the verify switch.
-The public constructors keep every check.  A marker name holds no
+``genome_from_mates`` then build through ``verify.trusted``, as
+``apply_reversal`` does, so they validate again only under the verify
+switch.  The public constructors keep every check.  A marker name holds no
 whitespace, or its text form would read back as other markers; text
 tokens come from ``str.split``, so only the JSON reader and the public
 constructor check it.
@@ -67,16 +67,6 @@ class SignedPermutation:
         n = len(self.values)
         if seen and max(seen) != n:
             raise ValueError("absolute values must cover 1..%d with no gap" % n)
-
-    @classmethod
-    def _trusted(cls, values: tuple[int, ...]) -> SignedPermutation:
-        """A permutation the library built itself from a valid one; it is
-        validated only while the verify switch is on."""
-        if verify.enabled():
-            return cls(values)
-        p = object.__new__(cls)
-        object.__setattr__(p, "values", values)
-        return p
 
     def __len__(self) -> int:
         return len(self.values)
@@ -118,7 +108,7 @@ def apply_reversal(p: SignedPermutation, r: ReversalInterval) -> SignedPermutati
     v = p.values
     i, j = r.start - 1, r.end
     block = tuple(map(neg, v[i:j][::-1]))
-    return SignedPermutation._trusted(v[:i] + block + v[j:])
+    return verify.trusted(SignedPermutation, values=v[:i] + block + v[j:])
 
 
 @dataclass(frozen=True)
@@ -289,17 +279,6 @@ class Chromosome:
                 raise ValueError("duplicate marker %r" % name)
             seen.add(name)
 
-    @classmethod
-    def _trusted(cls, shape: str, markers: tuple[Marker, ...]) -> Chromosome:
-        """A chromosome whose shape, names and signs its builder has
-        checked; it is validated again only while the verify switch is on."""
-        if verify.enabled():
-            return cls(shape, markers)
-        c = object.__new__(cls)
-        object.__setattr__(c, "shape", shape)
-        object.__setattr__(c, "markers", markers)
-        return c
-
     def canonical(self) -> tuple:
         ms = self.markers
         if self.shape == LINEAR:
@@ -351,16 +330,6 @@ class Genome:
                 if name in seen:
                     raise ValueError("duplicate marker %r" % name)
                 seen.add(name)
-
-    @classmethod
-    def _trusted(cls, chromosomes: tuple[Chromosome, ...]) -> Genome:
-        """A genome whose builder has checked that no marker repeats; it is
-        validated again only while the verify switch is on."""
-        if verify.enabled():
-            return cls(chromosomes)
-        g = object.__new__(cls)
-        object.__setattr__(g, "chromosomes", chromosomes)
-        return g
 
     def marker_names(self) -> frozenset[str]:
         return frozenset(
@@ -439,8 +408,10 @@ def genome_from_mates(names: Sequence[str], mate: list[int]) -> Genome:
             markers.append((names[x >> 1], -1 if x & 1 else 1))
             x = mate[x ^ 1]
         shape = LINEAR if mate[start] < 0 else CIRCULAR
-        chromosomes.append(Chromosome._trusted(shape, tuple(markers)))
-    return Genome._trusted(tuple(chromosomes))
+        chromosomes.append(
+            verify.trusted(Chromosome, shape=shape, markers=tuple(markers))
+        )
+    return verify.trusted(Genome, chromosomes=tuple(chromosomes))
 
 
 def _read_markers(tokens) -> tuple[Marker, ...]:
@@ -473,10 +444,10 @@ def _assemble(chromosomes: Iterable[tuple[str, tuple[Marker, ...]]]) -> Genome:
             Chromosome(shape, markers)  # raises, naming the first fault
         seen.update(names)
         count += len(names)
-        built.append(Chromosome._trusted(shape, markers))
+        built.append(verify.trusted(Chromosome, shape=shape, markers=markers))
     if len(seen) < count:
         Genome(tuple(built))  # raises, naming the first repeat
-    return Genome._trusted(tuple(built))
+    return verify.trusted(Genome, chromosomes=tuple(built))
 
 
 def _text_chromosomes(text: str):

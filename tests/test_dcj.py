@@ -385,6 +385,20 @@ class TestFramedReversalBound:
         identity = SignedPermutation(tuple(range(1, len(p) + 1)))
         assert dcj_distance(framed(p), framed(identity)) == distance_lower_bound(p)
 
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_at_n_10_000(self, seed):
+        """Seeded uniform permutations, and for seed None the identity
+        read backwards, (n, n-1, ..., 1)."""
+        n = 10_000
+        values = list(range(n, 0, -1))
+        if seed is not None:
+            rng = random.Random(seed)
+            rng.shuffle(values)
+            values = [v * rng.choice((1, -1)) for v in values]
+        p = SignedPermutation(tuple(values))
+        identity = SignedPermutation(tuple(range(1, n + 1)))
+        assert dcj_distance(framed(p), framed(identity)) == distance_lower_bound(p)
+
 
 def seeded_pairs(count: int, seed: int):
     """Pairs of 1-2000 markers, log-uniform in size: both genomes linear,
@@ -485,7 +499,7 @@ class TestCrossCheckKeepsItsChecks:
         real = fourreg._expand
         monkeypatch.setattr(fourreg, "_expand", doubled)
         with verifying(False):
-            with pytest.raises(ValueError, match="slot 1 matched twice"):
+            with pytest.raises(ValueError, match="slot 5 matched twice"):
                 circular_dcj_distance(ga, gb)
 
     def test_a_disagreement_raises(self, capsys, monkeypatch):

@@ -278,13 +278,13 @@ class TestExactLayout:
         )
         g = enc.graph
         assert g.edges == (
-            (5, 0), (1, 8), (9, 12), (13, 2), (3, 16),
-            (17, 4), (15, 10), (11, 18), (19, 6), (7, 14),
+            (1, 4), (5, 12), (13, 8), (9, 6), (7, 16),
+            (17, 0), (11, 14), (15, 18), (19, 2), (3, 10),
         )
         assert enc.pa.routes == (1,) * 5
         assert enc.pb.routes == (3,) * 5
         assert enc.intermediate == bytes((
-            0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0,
+            1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0,
         ))
         assert enc.n == 5 and enc.junction_sequence == ()
 

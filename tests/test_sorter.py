@@ -21,6 +21,7 @@ from revdcj.perm import (
     SignedPermutation,
     apply_reversal,
     identity,
+    parse_genome,
 )
 from revdcj.sorter import (
     OrientationPair,
@@ -34,11 +35,14 @@ from revdcj.sorter import (
     reversal_for_vertex,
     sort_by_reversals,
 )
-from revdcj.verify import enabled, verifying
+from revdcj.verify import enabled, trusted, verifying
 
 from conftest import (
+    all_reversals,
     breakpoint_positions,
     has_loop,
+    random_chromosomes,
+    random_genome,
     sabotage_lc_strip,
     sabotage_lc_strip_loop,
     signed_permutations,
@@ -394,23 +398,67 @@ class TestVerifySwitch:
         with verifying(False), pytest.raises(AssertionError, match="matrix rank"):
             reversal_distance(PI7)
 
+    def test_sabotaged_rank_fails_the_lc_sequence(self, monkeypatch):
+        h = permutation_circle_graph(PI7)
+        monkeypatch.setattr(localcomp, "gf2_rank", lambda rows: 0)
+        with pytest.raises(AssertionError, match="matrix rank"):
+            localcomp.find_full_lc_sequence(h)
+        with verifying(False):
+            assert len(localcomp.find_full_lc_sequence(h)) == 4
+
     def test_trusted_constructors_validate_under_the_switch(self):
-        asymmetric = ((0, 1), (0b10, 0))
+        asymmetric = dict(vertices=(0, 1), rows=(0b10, 0))
         repeat = (("a", 1), ("a", -1))
         apart = (Chromosome(LINEAR, (("a", 1),)), Chromosome(CIRCULAR, (("a", -1),)))
         with verifying(False):
-            LoopedGraph._trusted(*asymmetric)
-            SignedPermutation._trusted((1, 1))
-            Chromosome._trusted(LINEAR, repeat)
-            Genome._trusted(apart)
+            trusted(LoopedGraph, **asymmetric)
+            trusted(SignedPermutation, values=(1, 1))
+            trusted(Chromosome, shape=LINEAR, markers=repeat)
+            trusted(Genome, chromosomes=apart)
         with pytest.raises(ValueError):
-            LoopedGraph._trusted(*asymmetric)
+            trusted(LoopedGraph, **asymmetric)
         with pytest.raises(ValueError):
-            SignedPermutation._trusted((1, 1))
+            trusted(SignedPermutation, values=(1, 1))
         with pytest.raises(ValueError, match="duplicate marker 'a'"):
-            Chromosome._trusted(LINEAR, repeat)
+            trusted(Chromosome, shape=LINEAR, markers=repeat)
         with pytest.raises(ValueError, match="duplicate marker 'a'"):
-            Genome._trusted(apart)
+            trusted(Genome, chromosomes=apart)
+
+    def test_trusted_values_equal_the_public_constructors(self, small_sweep):
+        """With the switch off, each value the library builds through
+        ``trusted`` equals the one its public constructor makes from the
+        same fields, down to the hash, the text form and the derived edges
+        and loops of a graph."""
+
+        def check(built):
+            cls = type(built)
+            public = cls(**{f.name: getattr(built, f.name) for f in fields(cls)})
+            assert built == public and hash(built) == hash(public), public
+            assert str(built) == str(public)
+            if cls is LoopedGraph:
+                assert built.edges == public.edges
+                assert built.loop_mask == public.loop_mask
+
+        rng = random.Random(28)
+        with verifying(False):
+            for rows in small_sweep.rows.values():
+                for row in rows:
+                    h = permutation_circle_graph(row.perm)
+                    check(h)
+                    if h.loop_mask:
+                        check(lc_strip(h, min(h.looped_vertices())))
+                    for interval in all_reversals(len(row.perm)):
+                        check(apply_reversal(row.perm, interval))
+            for _ in range(100):
+                n = rng.randint(1, 60)
+                genomes = [
+                    random_genome(["m%d" % i for i in range(n)], rng),
+                    parse_genome(str(random_chromosomes(n, rng, rng.random()))),
+                ]
+                for g in genomes:
+                    check(g)
+                    for chrom in g.chromosomes:
+                        check(chrom)
 
     def test_switch_changes_no_script_or_report(self, small_sweep):
         for rows in small_sweep.rows.values():
